@@ -7,17 +7,16 @@ every tick (the freshest possible serving posture).  The baseline is
 what a batch deployment would have to do for the same freshness: a
 cold full rebuild (fresh engine, fresh caches) at the same watermark.
 
-Two costs are measured separately because they scale differently:
+Two costs are measured per tick:
 
 * **fold** — absorbing one delta into the incremental state (cursors,
-  snowball frontier, union-find).  This is the work incrementality
-  eliminates: a batch deployment pays a full re-analysis per refresh.
-  ``deltas/s`` and the asserted ``>= _FLOOR_SPEEDUP x`` floor compare
-  this against the cold-rebuild rate.
-* **freshness** — fold + deriving the full snapshot + delta publication,
-  i.e. delta arrival to served index.  Derivation is cadence-bound
-  (``--publish-every``), not per-delta-bound, so it is reported as
-  p50/p99 rather than asserted.
+  snowball frontier, union-find).  Reported as ``deltas/s`` and as a
+  fold-only speedup, for the record.
+* **freshness** — fold + re-deriving the records the delta dirtied +
+  delta publication, i.e. delta arrival to served index.  This is what
+  a deployment pays per refresh, so the asserted ``>= _FLOOR_SPEEDUP x``
+  floor compares it (tick + publish, per delta) against a cold rebuild
+  at the same watermark; p50/p99 are reported too.
 
 Measured numbers land in ``out/perf_stream.json``.
 """
@@ -34,8 +33,8 @@ from repro.runtime import ExecutionEngine
 from repro.serve import IntelIndex, QueryEngine
 from repro.stream import StreamPipeline, StreamPublisher, batch_rebuild
 
-#: Folding one <=1% tail delta must beat a cold rebuild by at least this
-#: factor (the ISSUE's acceptance floor).
+#: Folding *and publishing* one <=1% tail delta must beat a cold rebuild
+#: at the same watermark by at least this factor.
 _FLOOR_SPEEDUP = 5.0
 _TAIL_FRACTION = 0.01
 _TAIL_BATCH = 8
@@ -99,15 +98,17 @@ def test_stream_tail_beats_full_rebuild(record_table, record_perf, bench_world):
     # comparison is meaningless unless both sides produce the same index.
     assert publisher.published.to_bytes() == cold.to_bytes()
 
-    speedup = cold_wall / (fold_wall / ticks)
+    speedup = cold_wall / (tail_wall / ticks)
+    fold_speedup = cold_wall / (fold_wall / ticks)
     samples = {
         "incremental-tail": {
             "ticks": ticks,
             "tail_blocks": tail,
             "delta_batch": _TAIL_BATCH,
             "fold_wall_s": round(fold_wall, 4),
-            "deltas_per_s": round(ticks / fold_wall, 2),
+            "fold_deltas_per_s": round(ticks / fold_wall, 2),
             "wall_s_with_publishes": round(tail_wall, 4),
+            "deltas_per_s": round(ticks / tail_wall, 2),
             "freshness_p50_s": round(_percentile(freshness, 0.50), 4),
             "freshness_p99_s": round(_percentile(freshness, 0.99), 4),
             "warmup_wall_s": round(warm_wall, 4),
@@ -117,6 +118,7 @@ def test_stream_tail_beats_full_rebuild(record_table, record_perf, bench_world):
             "deltas_per_s": round(1.0 / cold_wall, 4),
         },
         "speedup_per_delta": round(speedup, 2),
+        "fold_speedup_per_delta": round(fold_speedup, 2),
         "floor": _FLOOR_SPEEDUP,
     }
     record_table(
@@ -126,7 +128,7 @@ def test_stream_tail_beats_full_rebuild(record_table, record_perf, bench_world):
             [
                 [
                     "incremental tail",
-                    f"{ticks / fold_wall:,.1f}",
+                    f"{ticks / tail_wall:,.1f}",
                     f"{_percentile(freshness, 0.50) * 1000:.0f} ms",
                     f"{_percentile(freshness, 0.99) * 1000:.0f} ms",
                 ],
@@ -140,7 +142,8 @@ def test_stream_tail_beats_full_rebuild(record_table, record_perf, bench_world):
             title=(
                 f"Streaming — last {tail} of {total} blocks "
                 f"({ticks} deltas, publish-per-tick) vs cold rebuild; "
-                f"fold speedup {speedup:.1f}x per delta"
+                f"tick+publish speedup {speedup:.1f}x per delta "
+                f"(fold alone {fold_speedup:.0f}x)"
             ),
         ),
     )
@@ -150,6 +153,6 @@ def test_stream_tail_beats_full_rebuild(record_table, record_perf, bench_world):
         context={"platform": platform.platform(), "python": platform.python_version()},
     )
     assert speedup >= _FLOOR_SPEEDUP, (
-        f"incremental delta fold is only {speedup:.1f}x a full rebuild "
+        f"an incremental tick + publish is only {speedup:.1f}x a full rebuild "
         f"(floor {_FLOOR_SPEEDUP}x)"
     )

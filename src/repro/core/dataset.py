@@ -10,13 +10,20 @@ GitHub dataset.
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from repro.core.profit_sharing import ProfitShareMatch
 
-__all__ = ["PSTransactionRecord", "DaaSDataset", "Provenance"]
+__all__ = [
+    "AddressActivity",
+    "DaaSDataset",
+    "PSTransactionRecord",
+    "Provenance",
+    "fold_activity",
+]
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,6 +65,12 @@ class PSTransactionRecord:
     def affiliate_usd(self) -> float:
         return self.total_usd - self.operator_usd
 
+    @property
+    def dedup_key(self) -> str:
+        """Identity of a split in the dataset: a later record with the
+        same tx, token and operator is a duplicate and is dropped."""
+        return self.tx_hash + "/" + self.token + "/" + self.operator
+
 
 @dataclass(frozen=True, slots=True)
 class Provenance:
@@ -65,6 +78,87 @@ class Provenance:
 
     stage: str               # "seed" | "expansion"
     source: str              # label feed name, or "snowball:<iteration>"
+
+
+@dataclass(slots=True)
+class AddressActivity:
+    """One address's profit-sharing activity, folded from its records.
+
+    Every per-address figure the index and the risk signals report —
+    profit share, tx count, first/last seen, split ratio, counterparties,
+    evidence — is a left fold of :meth:`see` over the address's records
+    in dataset order, so any two folds over the same records agree to
+    the last bit of every float sum.
+    """
+
+    profit_usd: float = 0.0
+    tx_count: int = 0
+    first_ts: int | None = None
+    last_ts: int | None = None
+    ratios: dict[int, int] = field(default_factory=dict)
+    operators: set[str] = field(default_factory=set)
+    affiliates: set[str] = field(default_factory=set)
+    contracts: set[str] = field(default_factory=set)
+    evidence: list[tuple[int, str]] = field(default_factory=list)
+
+    def see(self, ts: int, ratio_bps: int, tx_hash: str, profit_usd: float) -> None:
+        self.profit_usd += profit_usd
+        self.tx_count += 1
+        if self.first_ts is None or ts < self.first_ts:
+            self.first_ts = ts
+        if self.last_ts is None or ts > self.last_ts:
+            self.last_ts = ts
+        self.ratios[ratio_bps] = self.ratios.get(ratio_bps, 0) + 1
+        self.evidence.append((ts, tx_hash))
+
+    def top_ratio(self) -> int | None:
+        if not self.ratios:
+            return None
+        # Most frequent ratio; ties resolve to the smallest value.
+        return min(self.ratios, key=lambda r: (-self.ratios[r], r))
+
+    def evidence_sample(self, limit: int) -> tuple[str, ...]:
+        """The ``limit`` earliest distinct tx hashes (by time, then hash)."""
+        return tuple(h for _, h in heapq.nsmallest(limit, set(self.evidence)))
+
+
+def fold_activity(records, only=None) -> dict[str, AddressActivity]:
+    """Per-address :class:`AddressActivity` over ``records``, in order.
+
+    A record counts once for each role slot an address fills in it —
+    contract (whole split), operator, affiliate (their shares) — in that
+    order.  ``only`` (a set) restricts the fold to those addresses; the
+    result for each of them is the same as an unrestricted fold's.
+    """
+    out: dict[str, AddressActivity] = {}
+
+    def activity_of(address: str) -> AddressActivity:
+        activity = out.get(address)
+        if activity is None:
+            activity = out[address] = AddressActivity()
+        return activity
+
+    for r in records:
+        contract, operator, affiliate = r.contract, r.operator, r.affiliate
+        if only is None or contract in only:
+            activity = activity_of(contract)
+            activity.see(r.timestamp, r.ratio_bps, r.tx_hash, r.total_usd)
+            activity.operators.add(operator)
+            activity.affiliates.add(affiliate)
+        take_operator = only is None or operator in only
+        take_affiliate = only is None or affiliate in only
+        if take_operator or take_affiliate:
+            operator_usd = r.operator_usd
+            if take_operator:
+                activity = activity_of(operator)
+                activity.see(r.timestamp, r.ratio_bps, r.tx_hash, operator_usd)
+                activity.contracts.add(contract)
+            if take_affiliate:
+                # == r.affiliate_usd, without computing the operator share twice
+                activity = activity_of(affiliate)
+                activity.see(r.timestamp, r.ratio_bps, r.tx_hash, r.total_usd - operator_usd)
+                activity.contracts.add(contract)
+    return out
 
 
 @dataclass
@@ -103,7 +197,7 @@ class DaaSDataset:
 
     def add_transaction(self, record: PSTransactionRecord) -> bool:
         """Add a PS transaction; duplicate (hash, token, source-pair) no-ops."""
-        key = record.tx_hash + "/" + record.token + "/" + record.operator
+        key = record.dedup_key
         if key in self._tx_hashes:
             return False
         self._tx_hashes.add(key)
@@ -111,6 +205,17 @@ class DaaSDataset:
         return True
 
     # -- views --------------------------------------------------------------
+
+    def role_of(self, address: str) -> str | None:
+        """``address``'s role, by precedence contract > operator >
+        affiliate; ``None`` outside the dataset."""
+        if address in self.contracts:
+            return "contract"
+        if address in self.operators:
+            return "operator"
+        if address in self.affiliates:
+            return "affiliate"
+        return None
 
     @property
     def all_accounts(self) -> set[str]:

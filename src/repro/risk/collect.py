@@ -16,6 +16,7 @@ into one calibrated score.
 
 from __future__ import annotations
 
+from repro.core.dataset import fold_activity
 from repro.risk.signals import (
     SIGNAL_REFS_LIMIT,
     STAGE_EXPLOITATION,
@@ -25,7 +26,7 @@ from repro.risk.signals import (
     StageSignal,
 )
 
-__all__ = ["collect_signals"]
+__all__ = ["address_signals", "collect_signals"]
 
 #: Per-kind confidence priors (calibration knobs, see docs/risk.md).
 SEED_LABEL_CONFIDENCE = 0.60        # feeds contain EOAs and false reports
@@ -34,15 +35,6 @@ SITE_HIT_CONFIDENCE = 0.50          # attributed via the family, not the address
 PROFIT_SPLIT_BASE = {"contract": 0.85, "operator": 0.80, "affiliate": 0.70}
 PROFIT_SPLIT_ACTIVITY_CAP = 0.10    # busy splitters are more certain verdicts
 SINK_CONFIDENCE = {"mixer": 0.70, "bridge": 0.60, "exchange": 0.35}
-
-
-def _role_of(dataset, address: str) -> str:
-    # Same precedence the index uses: contract > operator > affiliate.
-    if address in dataset.contracts:
-        return "contract"
-    if address in dataset.operators:
-        return "operator"
-    return "affiliate"
 
 
 def _funding_signal(address: str, provenance) -> StageSignal:
@@ -65,11 +57,98 @@ def _funding_signal(address: str, provenance) -> StageSignal:
     )
 
 
+def address_signals(
+    address: str,
+    role: str,
+    provenance=None,
+    activity=None,
+    family: str | None = None,
+    family_reports=(),
+    routes=(),
+) -> tuple[StageSignal, ...]:
+    """One address's stage signals, in stage order.
+
+    ``provenance`` gives funding; ``family_reports`` (the confirmed
+    phishing sites of the address's ``family``) give preparation;
+    ``activity`` (its :class:`~repro.core.dataset.AddressActivity`) and
+    ``role`` give exploitation; ``routes`` (its §8.1 cash-out routes)
+    give laundering.
+    """
+    collected: list[StageSignal] = []
+
+    if provenance is not None:
+        collected.append(_funding_signal(address, provenance))
+
+    if family is not None and family_reports:
+        domains = sorted({r.domain.lower() for r in family_reports})
+        keywords = sorted({r.matched_keyword for r in family_reports if r.matched_keyword})
+        detail = f"{len(domains)} confirmed phishing sites for family {family}"
+        if keywords:
+            detail += f" (fingerprints: {', '.join(keywords[:3])})"
+        collected.append(
+            StageSignal(
+                address=address,
+                stage=STAGE_PREPARATION,
+                kind="phishing-site",
+                confidence=SITE_HIT_CONFIDENCE,
+                source="webdetect",
+                detail=detail,
+                count=len(domains),
+                first_ts=min(r.detected_at for r in family_reports),
+                last_ts=max(r.detected_at for r in family_reports),
+                refs=tuple(domains[:SIGNAL_REFS_LIMIT]),
+            )
+        )
+
+    count = activity.tx_count if activity is not None else 0
+    if count:
+        confidence = min(
+            0.95,
+            PROFIT_SPLIT_BASE[role] + min(PROFIT_SPLIT_ACTIVITY_CAP, count * 0.002),
+        )
+        collected.append(
+            StageSignal(
+                address=address,
+                stage=STAGE_EXPLOITATION,
+                kind="profit-split",
+                confidence=round(confidence, 4),
+                source="classify",
+                detail=f"{count} profit-sharing txs as {role}",
+                count=count,
+                first_ts=activity.first_ts,
+                last_ts=activity.last_ts,
+                refs=activity.evidence_sample(SIGNAL_REFS_LIMIT),
+            )
+        )
+
+    if routes:
+        categories = sorted({r.sink_category for r in routes})
+        sinks = sorted({r.sink for r in routes})
+        confidence = max(SINK_CONFIDENCE[c] for c in categories)
+        collected.append(
+            StageSignal(
+                address=address,
+                stage=STAGE_LAUNDERING,
+                kind="cash-out",
+                confidence=confidence,
+                source="laundering",
+                detail=(
+                    f"{len(routes)} traced routes to "
+                    f"{'/'.join(categories)} sinks"
+                ),
+                count=len(routes),
+                refs=tuple(sinks[:SIGNAL_REFS_LIMIT]),
+            )
+        )
+    return tuple(collected)
+
+
 def collect_signals(
     dataset,
     clustering=None,
     site_reports=None,
     laundering_report=None,
+    activity=None,
 ) -> dict[str, tuple[StageSignal, ...]]:
     """Deterministic stage signals for every dataset address.
 
@@ -81,20 +160,13 @@ def collect_signals(
     :class:`~repro.analysis.laundering.LaunderingReport`) yields
     laundering signals for route sources.  Funding (provenance) and
     exploitation (profit-sharing participation) always come from the
-    dataset itself.
+    dataset itself; ``activity`` passes in an already folded
+    :func:`~repro.core.dataset.fold_activity` of its transactions.
+    Each address's tuple is :func:`address_signals` of its inputs.
     """
     members = dataset.contracts | dataset.operators | dataset.affiliates
-
-    # exploitation: per-address profit-sharing activity.
-    tx_count: dict[str, int] = {}
-    tx_refs: dict[str, list[tuple[int, str]]] = {}
-    span: dict[str, tuple[int, int]] = {}
-    for record in dataset.transactions:
-        for address in (record.contract, record.operator, record.affiliate):
-            tx_count[address] = tx_count.get(address, 0) + 1
-            tx_refs.setdefault(address, []).append((record.timestamp, record.tx_hash))
-            first, last = span.get(address, (record.timestamp, record.timestamp))
-            span[address] = (min(first, record.timestamp), max(last, record.timestamp))
+    if activity is None:
+        activity = fold_activity(dataset.transactions)
 
     # preparation: confirmed phishing sites, attributed per family.
     family_domains: dict[str, list] = {}
@@ -115,83 +187,16 @@ def collect_signals(
 
     signals: dict[str, tuple[StageSignal, ...]] = {}
     for address in sorted(members):
-        collected: list[StageSignal] = []
-
-        provenance = dataset.provenance.get(address)
-        if provenance is not None:
-            collected.append(_funding_signal(address, provenance))
-
         family = family_of.get(address)
-        if family is not None:
-            reports = family_domains[family]
-            domains = sorted({r.domain.lower() for r in reports})
-            keywords = sorted({r.matched_keyword for r in reports if r.matched_keyword})
-            detail = f"{len(domains)} confirmed phishing sites for family {family}"
-            if keywords:
-                detail += f" (fingerprints: {', '.join(keywords[:3])})"
-            collected.append(
-                StageSignal(
-                    address=address,
-                    stage=STAGE_PREPARATION,
-                    kind="phishing-site",
-                    confidence=SITE_HIT_CONFIDENCE,
-                    source="webdetect",
-                    detail=detail,
-                    count=len(domains),
-                    first_ts=min(r.detected_at for r in reports),
-                    last_ts=max(r.detected_at for r in reports),
-                    refs=tuple(domains[:SIGNAL_REFS_LIMIT]),
-                )
-            )
-
-        count = tx_count.get(address, 0)
-        if count:
-            role = _role_of(dataset, address)
-            confidence = min(
-                0.95,
-                PROFIT_SPLIT_BASE[role]
-                + min(PROFIT_SPLIT_ACTIVITY_CAP, count * 0.002),
-            )
-            first, last = span[address]
-            refs = tuple(
-                h for _, h in sorted(set(tx_refs[address]))[:SIGNAL_REFS_LIMIT]
-            )
-            collected.append(
-                StageSignal(
-                    address=address,
-                    stage=STAGE_EXPLOITATION,
-                    kind="profit-split",
-                    confidence=round(confidence, 4),
-                    source="classify",
-                    detail=f"{count} profit-sharing txs as {role}",
-                    count=count,
-                    first_ts=first,
-                    last_ts=last,
-                    refs=refs,
-                )
-            )
-
-        routes = routes_of.get(address)
-        if routes:
-            categories = sorted({r.sink_category for r in routes})
-            sinks = sorted({r.sink for r in routes})
-            confidence = max(SINK_CONFIDENCE[c] for c in categories)
-            collected.append(
-                StageSignal(
-                    address=address,
-                    stage=STAGE_LAUNDERING,
-                    kind="cash-out",
-                    confidence=confidence,
-                    source="laundering",
-                    detail=(
-                        f"{len(routes)} traced routes to "
-                        f"{'/'.join(categories)} sinks"
-                    ),
-                    count=len(routes),
-                    refs=tuple(sinks[:SIGNAL_REFS_LIMIT]),
-                )
-            )
-
+        collected = address_signals(
+            address,
+            dataset.role_of(address),
+            provenance=dataset.provenance.get(address),
+            activity=activity.get(address),
+            family=family,
+            family_reports=family_domains.get(family, ()),
+            routes=routes_of.get(address, ()),
+        )
         if collected:
-            signals[address] = tuple(collected)
+            signals[address] = collected
     return signals

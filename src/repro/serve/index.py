@@ -14,6 +14,13 @@ cache keys (HTTP ETags) are free, and "is this the same intelligence?"
 is a string compare.  Build offline with ``daas-repro index build``,
 load with :meth:`IntelIndex.load` (one ``json.loads`` — no per-record
 work until a record is touched).
+
+The canonical payload is assembled from per-entry fragments — each
+record's own canonical JSON, cached on first use — so an index derived
+from another by :meth:`IntelIndex.with_changes` encodes only the
+records that changed, and its hash and file are one pass over bytes
+that already exist.  The bytes are exactly those of ``json.dumps`` over
+the whole body with sorted keys.
 """
 
 from __future__ import annotations
@@ -21,10 +28,12 @@ from __future__ import annotations
 import hashlib
 import json
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
+from repro.core.dataset import AddressActivity, fold_activity
 from repro.risk.signals import StageSignal
+from repro.runtime.atomicio import atomic_write_bytes
 
 __all__ = [
     "AddressIntel",
@@ -32,7 +41,11 @@ __all__ = [
     "FamilyRecord",
     "IndexFormatError",
     "IntelIndex",
+    "address_intel",
     "build_index",
+    "encode_entry",
+    "family_record",
+    "merge_site_report",
 ]
 
 #: Profit-sharing tx hashes kept per address as lookup evidence.
@@ -190,6 +203,20 @@ class FamilyRecord:
         )
 
 
+_KINDS = ("addresses", "domains", "families")
+#: ``json.dumps(doc, sort_keys=True, separators=(",", ":"))``, built once.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def _canonical(doc) -> bytes:
+    return _ENCODER.encode(doc).encode()
+
+
+def encode_entry(key: str, payload: dict) -> bytes:
+    """One record's fragment of the canonical body: ``"key":{payload}``."""
+    return (_ENCODER.encode(key) + ":" + _ENCODER.encode(payload)).encode()
+
+
 class IntelIndex:
     """Read-optimized, versioned view over the pipeline's intelligence."""
 
@@ -207,6 +234,42 @@ class IntelIndex:
         self.families = dict(families or {})
         self._sorted_addresses = sorted(self.addresses)
         self._version: str | None = None
+        #: kind -> {key: encode_entry bytes}, filled on first encode.
+        self._fragments: dict[str, dict[str, bytes]] = {kind: {} for kind in _KINDS}
+        self._pieces: list[bytes] | None = None
+
+    def with_changes(
+        self,
+        upserts: dict | None = None,
+        removals: dict | None = None,
+        fragments: dict | None = None,
+    ) -> "IntelIndex":
+        """This index with ``upserts`` (kind -> {key: record}) written
+        over it and ``removals`` (kind -> keys) dropped.
+
+        Untouched keys keep their record objects and cached fragments,
+        so encoding the result costs only the changed records.
+        ``fragments`` (kind -> {key: bytes}) supplies the upserted
+        records' encodings ready-made.
+        """
+        upserts, removals, fragments = upserts or {}, removals or {}, fragments or {}
+        maps: dict[str, dict] = {}
+        caches: dict[str, dict[str, bytes]] = {}
+        for kind in _KINDS:
+            records = dict(getattr(self, kind))
+            cache = dict(self._fragments[kind])
+            for key in removals.get(kind, ()):
+                records.pop(key, None)
+                cache.pop(key, None)
+            for key, record in upserts.get(kind, {}).items():
+                records[key] = record
+                cache.pop(key, None)
+            cache.update(fragments.get(kind, {}))
+            maps[kind] = records
+            caches[kind] = cache
+        changed = IntelIndex(**maps)
+        changed._fragments = caches
+        return changed
 
     # -- point lookups -------------------------------------------------------
 
@@ -272,37 +335,46 @@ class IntelIndex:
 
     # -- versioning / serialization ------------------------------------------
 
-    def _body(self) -> dict:
-        return {
-            "format": self.FORMAT,
-            "format_version": self.FORMAT_VERSION,
-            "counts": self.counts(),
-            "addresses": {
-                a: self.addresses[a].to_payload() for a in self._sorted_addresses
-            },
-            "domains": {
-                d: self.domains[d].to_payload() for d in sorted(self.domains)
-            },
-            "families": {
-                f: self.families[f].to_payload() for f in sorted(self.families)
-            },
-        }
+    def _body_pieces(self) -> list[bytes]:
+        """The canonical body without ``version`` and its closing brace:
+        ``json.dumps(body, sort_keys=True)`` bytes, cut into pieces
+        (built once per index; each entry is its cached fragment)."""
+        if self._pieces is None:
+            pieces = [b'{"addresses":{']
+            self._add_entries(pieces, "addresses", self._sorted_addresses)
+            pieces.append(b'},"counts":' + _canonical(self.counts()) + b',"domains":{')
+            self._add_entries(pieces, "domains", sorted(self.domains))
+            pieces.append(b'},"families":{')
+            self._add_entries(pieces, "families", sorted(self.families))
+            pieces.append(
+                b'},"format":' + _canonical(self.FORMAT)
+                + b',"format_version":' + _canonical(self.FORMAT_VERSION)
+            )
+            self._pieces = pieces
+        return self._pieces
 
-    @staticmethod
-    def _canonical(doc: dict) -> bytes:
-        return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+    def _add_entries(self, pieces: list[bytes], kind: str, keys) -> None:
+        cache = self._fragments[kind]
+        records = getattr(self, kind)
+        for n, key in enumerate(keys):
+            fragment = cache.get(key)
+            if fragment is None:
+                fragment = cache[key] = encode_entry(key, records[key].to_payload())
+            if n:
+                pieces.append(b",")
+            pieces.append(fragment)
 
     @property
     def version(self) -> str:
         """Content hash of the canonical payload (stable across rebuilds)."""
         if self._version is None:
-            self._version = hashlib.sha256(self._canonical(self._body())).hexdigest()[:16]
+            body = b"".join(self._body_pieces() + [b"}"])
+            self._version = hashlib.sha256(body).hexdigest()[:16]
         return self._version
 
     def to_bytes(self) -> bytes:
-        body = self._body()
-        body["version"] = self.version
-        return self._canonical(body) + b"\n"
+        tail = b',"version":' + _canonical(self.version) + b"}\n"
+        return b"".join(self._body_pieces() + [tail])
 
     @classmethod
     def from_bytes(cls, raw: bytes | str) -> "IntelIndex":
@@ -339,7 +411,10 @@ class IntelIndex:
         return index
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_bytes(self.to_bytes())
+        """Write the index file atomically: a reader (``serve
+        --reload-every``) sees the previous file or this one, never a
+        half-written mix."""
+        atomic_write_bytes(path, self.to_bytes())
 
     @classmethod
     def load(cls, path: str | Path) -> "IntelIndex":
@@ -353,34 +428,69 @@ class IntelIndex:
 # -- construction -------------------------------------------------------------
 
 
-@dataclass
-class _Accumulator:
-    profit_usd: float = 0.0
-    tx_count: int = 0
-    first_ts: int | None = None
-    last_ts: int | None = None
-    ratios: dict[int, int] = field(default_factory=dict)
-    partners: dict[str, set[str]] = field(
-        default_factory=lambda: {"operators": set(), "affiliates": set(), "contracts": set()}
+def address_intel(
+    address: str,
+    role: str,
+    activity: AddressActivity | None = None,
+    provenance=None,
+    family: str | None = None,
+    victim_count: int | None = None,
+    signals: tuple[StageSignal, ...] = (),
+) -> AddressIntel:
+    """One address's record: its role, its folded profit-sharing
+    ``activity`` (:func:`~repro.core.dataset.fold_activity`), where it
+    came from, its family and its stage signals."""
+    a = activity if activity is not None else AddressActivity()
+    return AddressIntel(
+        address=address,
+        role=role,
+        family=family,
+        ratio_bps=a.top_ratio(),
+        profit_usd=a.profit_usd,
+        tx_count=a.tx_count,
+        first_seen_ts=a.first_ts,
+        last_seen_ts=a.last_ts,
+        stage=provenance.stage if provenance else "",
+        source=provenance.source if provenance else "",
+        victim_count=victim_count,
+        operators=tuple(sorted(a.operators)),
+        affiliates=tuple(sorted(a.affiliates)),
+        contracts=tuple(sorted(a.contracts)),
+        evidence=a.evidence_sample(EVIDENCE_LIMIT),
+        signals=signals,
     )
-    evidence: list[tuple[int, str]] = field(default_factory=list)
 
-    def see(self, ts: int, ratio_bps: int, tx_hash: str, profit_usd: float) -> None:
-        self.profit_usd += profit_usd
-        self.tx_count += 1
-        self.first_ts = ts if self.first_ts is None else min(self.first_ts, ts)
-        self.last_ts = ts if self.last_ts is None else max(self.last_ts, ts)
-        self.ratios[ratio_bps] = self.ratios.get(ratio_bps, 0) + 1
-        self.evidence.append((ts, tx_hash))
 
-    def top_ratio(self) -> int | None:
-        if not self.ratios:
-            return None
-        # Most frequent ratio; ties resolve to the smallest value.
-        return min(self.ratios, key=lambda r: (-self.ratios[r], r))
+def family_record(family) -> FamilyRecord:
+    """A §7 :class:`~repro.analysis.families.Family` as its index row."""
+    return FamilyRecord(
+        name=family.name,
+        contract_count=len(family.contracts),
+        operator_count=len(family.operators),
+        affiliate_count=len(family.affiliates),
+        victim_count=len(family.victims),
+        total_profit_usd=family.total_profit_usd,
+        first_tx_ts=family.first_tx_ts,
+        last_tx_ts=family.last_tx_ts,
+    )
 
-    def evidence_sample(self) -> tuple[str, ...]:
-        return tuple(h for _, h in sorted(set(self.evidence))[:EVIDENCE_LIMIT])
+
+def merge_site_report(domains: dict[str, DomainIntel], report) -> DomainIntel | None:
+    """Fold one §8 ``SiteReport`` into ``domains``: a domain keeps its
+    earliest detection (the first report on ties).  Returns the new row,
+    or ``None`` when the report changed nothing."""
+    domain = report.domain.lower()
+    existing = domains.get(domain)
+    if existing is not None and report.detected_at >= existing.detected_at:
+        return None
+    row = domains[domain] = DomainIntel(
+        domain=domain,
+        verdict="phishing",
+        family=report.family,
+        detected_at=report.detected_at,
+        matched_keyword=report.matched_keyword,
+    )
+    return row
 
 
 def build_index(
@@ -408,38 +518,18 @@ def build_index(
     the same inputs; the serving layer fuses them into evidence-bearing
     verdicts (``docs/risk.md``).  ``signals=False`` reproduces the
     pre-fusion index byte-for-byte.
+
+    Each record comes from the same per-key function the streaming
+    plane re-derives single keys with (:func:`address_intel`,
+    :func:`family_record`, :func:`merge_site_report`).
     """
-    accumulators: dict[str, _Accumulator] = {}
-
-    def acc(address: str) -> _Accumulator:
-        return accumulators.setdefault(address, _Accumulator())
-
-    for record in dataset.transactions:
-        contract = acc(record.contract)
-        contract.see(record.timestamp, record.ratio_bps, record.tx_hash, record.total_usd)
-        contract.partners["operators"].add(record.operator)
-        contract.partners["affiliates"].add(record.affiliate)
-        operator = acc(record.operator)
-        operator.see(record.timestamp, record.ratio_bps, record.tx_hash, record.operator_usd)
-        operator.partners["contracts"].add(record.contract)
-        affiliate = acc(record.affiliate)
-        affiliate.see(record.timestamp, record.ratio_bps, record.tx_hash, record.affiliate_usd)
-        affiliate.partners["contracts"].add(record.contract)
+    activity = fold_activity(dataset.transactions)
 
     family_of: dict[str, str] = {}
     families: dict[str, FamilyRecord] = {}
     if clustering is not None:
         for fam in clustering.families:
-            families[fam.name] = FamilyRecord(
-                name=fam.name,
-                contract_count=len(fam.contracts),
-                operator_count=len(fam.operators),
-                affiliate_count=len(fam.affiliates),
-                victim_count=len(fam.victims),
-                total_profit_usd=fam.total_profit_usd,
-                first_tx_ts=fam.first_tx_ts,
-                last_tx_ts=fam.last_tx_ts,
-            )
+            families[fam.name] = family_record(fam)
             for member in fam.contracts | fam.operators | fam.affiliates:
                 family_of[member] = fam.name
 
@@ -460,6 +550,7 @@ def build_index(
             clustering=clustering,
             site_reports=site_reports,
             laundering_report=laundering_report,
+            activity=activity,
         )
 
     addresses: dict[str, AddressIntel] = {}
@@ -473,38 +564,18 @@ def build_index(
             # record keeps the EIP-55 checksummed form for display.
             if address.lower() in addresses:
                 continue  # role precedence: contract > operator > affiliate
-            a = accumulators.get(address, _Accumulator())
-            provenance = dataset.provenance.get(address)
-            addresses[address.lower()] = AddressIntel(
-                address=address,
-                role=role,
+            addresses[address.lower()] = address_intel(
+                address,
+                role,
+                activity.get(address),
+                dataset.provenance.get(address),
                 family=family_of.get(address),
-                ratio_bps=a.top_ratio(),
-                profit_usd=a.profit_usd,
-                tx_count=a.tx_count,
-                first_seen_ts=a.first_ts,
-                last_seen_ts=a.last_ts,
-                stage=provenance.stage if provenance else "",
-                source=provenance.source if provenance else "",
                 victim_count=victims_of.get(address),
-                operators=tuple(sorted(a.partners["operators"])),
-                affiliates=tuple(sorted(a.partners["affiliates"])),
-                contracts=tuple(sorted(a.partners["contracts"])),
-                evidence=a.evidence_sample(),
                 signals=signals_of.get(address, ()),
             )
 
     domains: dict[str, DomainIntel] = {}
     for report in site_reports or ():
-        domain = report.domain.lower()
-        existing = domains.get(domain)
-        if existing is None or report.detected_at < existing.detected_at:
-            domains[domain] = DomainIntel(
-                domain=domain,
-                verdict="phishing",
-                family=report.family,
-                detected_at=report.detected_at,
-                matched_keyword=report.matched_keyword,
-            )
+        merge_site_report(domains, report)
 
     return IntelIndex(addresses=addresses, domains=domains, families=families)

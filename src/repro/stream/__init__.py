@@ -15,6 +15,9 @@ rebuild at ``W``, whatever the delta batching or arrival order
 - :mod:`repro.stream.clusters` — merge-only union-find family
   clustering with order-free canonical roots, plus the shared
   derivation to §7 family rows.
+- :mod:`repro.stream.derive` — the per-key index deriver: a tick's
+  dirty keys expanded to the records they change, re-derived by the
+  same per-record functions as ``index build``.
 - :mod:`repro.stream.publish` — versioned index deltas, verified on
   application, published atomically through the serve plane's
   hot-reload path with a staleness-bounded freshness contract.
@@ -31,6 +34,7 @@ from repro.stream.clusters import (
     derive_clustering,
     derive_families,
 )
+from repro.stream.derive import IndexDeriver
 from repro.stream.pipeline import (
     StreamPipeline,
     StreamRunSummary,
@@ -55,6 +59,7 @@ __all__ = [
     "IncrementalFamilies",
     "IndexDelta",
     "IndexDeltaError",
+    "IndexDeriver",
     "PublishReceipt",
     "StreamCursor",
     "StreamDelta",

@@ -22,9 +22,10 @@ over the same edges, used by :func:`repro.stream.pipeline.batch_rebuild`
 so the incremental structure is checked against an algorithmically
 independent implementation, not against itself.
 :func:`derive_families` turns either partition into §7
-:class:`~repro.analysis.families.Family` rows by one shared pure
-function of ``(dataset, components)`` — the other half of the
-byte-parity story.
+:class:`~repro.analysis.families.Family` rows through the per-component
+:func:`component_family` and the naming pass :func:`unique_names`,
+which the streaming deriver calls for just the components a tick
+changed — the other half of the byte-parity story.
 """
 
 from __future__ import annotations
@@ -32,10 +33,13 @@ from __future__ import annotations
 from repro.analysis.families import ClusteringResult, Family
 
 __all__ = [
+    "FamilyStats",
     "IncrementalFamilies",
+    "component_family",
     "components_from_edges",
     "derive_clustering",
     "derive_families",
+    "unique_names",
 ]
 
 
@@ -46,13 +50,17 @@ class IncrementalFamilies:
     root of every component is its minimum member regardless of the
     order edges arrived in.  Path compression keeps ``find`` amortized
     near-constant; the min-root rule costs the usual union-by-rank
-    balance, which the compression pays back.
+    balance, which the compression pays back.  Each root also keeps its
+    component's member list, so one family is readable without a walk
+    over the whole forest.
     """
 
-    __slots__ = ("_parent", "merges", "unions")
+    __slots__ = ("_parent", "_members", "merges", "unions")
 
     def __init__(self) -> None:
         self._parent: dict[str, str] = {}
+        #: root -> its component's members (unordered).
+        self._members: dict[str, list[str]] = {}
         #: Unions that actually joined two distinct components.
         self.merges = 0
         #: Total union calls (including no-ops on already-joined pairs).
@@ -69,6 +77,7 @@ class IncrementalFamilies:
         if member in self._parent:
             return False
         self._parent[member] = member
+        self._members[member] = [member]
         return True
 
     def find(self, member: str) -> str:
@@ -92,8 +101,20 @@ class IncrementalFamilies:
             return False
         keep, absorb = (root_a, root_b) if root_a < root_b else (root_b, root_a)
         self._parent[absorb] = keep
+        kept, absorbed = self._members[keep], self._members.pop(absorb)
+        if len(kept) < len(absorbed):  # extend the longer list
+            kept, absorbed = absorbed, kept
+            self._members[keep] = kept
+        kept.extend(absorbed)
         self.merges += 1
         return True
+
+    def is_root(self, member: str) -> bool:
+        return member in self._members
+
+    def members(self, root: str) -> list[str]:
+        """The members of the component rooted at ``root`` (unordered)."""
+        return self._members[root]
 
     def components(self) -> dict[str, list[str]]:
         """``{root: sorted members}`` for every component, sorted-stable."""
@@ -118,6 +139,8 @@ class IncrementalFamilies:
         for member, root in payload.get("members", {}).items():
             families._parent[member] = root
             families._parent.setdefault(root, root)
+        for member, root in families._parent.items():
+            families._members.setdefault(root, []).append(member)
         families.merges = int(payload.get("merges", 0))
         families.unions = int(payload.get("unions", 0))
         return families
@@ -156,66 +179,112 @@ def components_from_edges(
     return out
 
 
+class FamilyStats:
+    """A component's profit-sharing totals: a left fold (:meth:`fold`)
+    over its contracts' records in dataset order."""
+
+    __slots__ = ("total_usd", "first_ts", "last_ts", "operator_profit")
+
+    def __init__(self) -> None:
+        self.total_usd = 0.0
+        self.first_ts: int | None = None
+        self.last_ts: int | None = None
+        #: operator -> its operator-share profit (names the family).
+        self.operator_profit: dict[str, float] = {}
+
+    def fold(self, records) -> None:
+        """Continue the fold over ``records``, in order."""
+        total, first, last = self.total_usd, self.first_ts, self.last_ts
+        profit = self.operator_profit
+        for record in records:
+            total += record.total_usd
+            ts = record.timestamp
+            if first is None or ts < first:
+                first = ts
+            if last is None or ts > last:
+                last = ts
+            profit[record.operator] = profit.get(record.operator, 0.0) + record.operator_usd
+        self.total_usd, self.first_ts, self.last_ts = total, first, last
+
+
+def component_family(root, members, role_of, stats, explorer) -> Family:
+    """One component's §7 row under its base name (before
+    :func:`unique_names`).
+
+    ``role_of`` maps a member to its dataset role (contract > operator >
+    affiliate precedence; ``None`` outside the dataset) and ``stats`` is
+    the component's :class:`FamilyStats`.  Naming follows the batch
+    clusterer's convention: the first sorted operator carrying a
+    non-generic Etherscan phishing label names the family, else the
+    top-profit operator's address prefix.
+    """
+    by_role: dict[str | None, set[str]] = {
+        "contract": set(), "operator": set(), "affiliate": set(), None: set(),
+    }
+    for member in members:
+        by_role[role_of(member)].add(member)
+    stats = stats if stats is not None else FamilyStats()
+    return Family(
+        name=_component_name(
+            by_role["operator"], explorer, stats.operator_profit, fallback=root
+        ),
+        operators=by_role["operator"],
+        contracts=by_role["contract"],
+        affiliates=by_role["affiliate"],
+        total_profit_usd=stats.total_usd,
+        first_tx_ts=stats.first_ts,
+        last_tx_ts=stats.last_ts,
+    )
+
+
+def unique_names(named_roots) -> list[str]:
+    """Final family names for ``(root, base name)`` pairs in root order:
+    a base name already taken by an earlier root gets the root's
+    address prefix appended, deterministically."""
+    used: set[str] = set()
+    out: list[str] = []
+    for root, name in named_roots:
+        if name in used:
+            name = f"{name}-{root[2:8]}"
+        used.add(name)
+        out.append(name)
+    return out
+
+
 def derive_families(dataset, components, explorer) -> list[Family]:
     """§7 family rows from a component partition — shared, pure, sorted.
 
     Both the incremental path and the cold rebuild call this with their
     respective partitions; identical partitions therefore yield
-    byte-identical family tables.  Naming follows the batch clusterer's
-    convention: the first sorted operator carrying a non-generic
-    Etherscan phishing label names the family, else the top-profit
-    operator's address prefix.  Duplicate names (two components whose
-    top operators share a prefix) are disambiguated with the component
-    root, deterministically.
+    byte-identical family tables.  Each row is :func:`component_family`
+    of its component, folded over its contracts' records in dataset
+    order; :func:`unique_names` then disambiguates duplicate names (two
+    components whose top operators share a prefix) with the component
+    root.
     """
     root_of = {
         member: root for root, members in components.items() for member in members
     }
-    profit: dict[str, float] = {}
-    stats: dict[str, list] = {}  # root -> [profit, first_ts, last_ts]
+    records_of: dict[str, list] = {}
     for record in dataset.transactions:
-        profit[record.operator] = (
-            profit.get(record.operator, 0.0) + record.operator_usd
-        )
         root = root_of.get(record.contract)
-        if root is None:
-            continue
-        entry = stats.setdefault(root, [0.0, None, None])
-        entry[0] += record.total_usd
-        if entry[1] is None or record.timestamp < entry[1]:
-            entry[1] = record.timestamp
-        if entry[2] is None or record.timestamp > entry[2]:
-            entry[2] = record.timestamp
+        if root is not None:
+            records_of.setdefault(root, []).append(record)
+    stats: dict[str, FamilyStats] = {}
+    for root, records in records_of.items():
+        stats[root] = FamilyStats()
+        stats[root].fold(records)
 
-    families: list[Family] = []
-    used_names: set[str] = set()
-    for root in sorted(components):
-        members = components[root]
-        contracts = {m for m in members if m in dataset.contracts}
-        operators = {
-            m for m in members if m in dataset.operators and m not in contracts
-        }
-        affiliates = {
-            m
-            for m in members
-            if m in dataset.affiliates and m not in contracts and m not in operators
-        }
-        name = _component_name(operators, explorer, profit, fallback=root)
-        if name in used_names:
-            name = f"{name}-{root[2:8]}"
-        used_names.add(name)
-        total, first_ts, last_ts = stats.get(root, (0.0, None, None))
-        families.append(
-            Family(
-                name=name,
-                operators=operators,
-                contracts=contracts,
-                affiliates=affiliates,
-                total_profit_usd=total,
-                first_tx_ts=first_ts,
-                last_tx_ts=last_ts,
-            )
+    roots = sorted(components)
+    families = [
+        component_family(
+            root, components[root], dataset.role_of, stats.get(root), explorer
         )
+        for root in roots
+    ]
+    names = unique_names((root, fam.name) for root, fam in zip(roots, families))
+    for fam, name in zip(families, names):
+        fam.name = name
     return families
 
 

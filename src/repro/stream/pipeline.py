@@ -5,18 +5,20 @@ polls the :class:`~repro.stream.source.DeltaSource` for newly sealed
 blocks (and CT entries under the new watermark), folds them into the
 :class:`~repro.stream.snowball.IncrementalExpander`, unions the new
 profit-sharing edges into :class:`~repro.stream.clusters.
-IncrementalFamilies`, confirms phishing sites per entry, and — on the
-publish cadence — derives the full §5-§8 snapshot and ships it as a
-versioned delta through the :class:`~repro.stream.publish.
-StreamPublisher`.
+IncrementalFamilies`, confirms phishing sites per entry, and marks what
+it dirtied on the :class:`~repro.stream.derive.IndexDeriver`.  On the
+publish cadence the deriver re-derives just those §5-§8 records and the
+:class:`~repro.stream.publish.StreamPublisher` ships the result as a
+versioned delta.
 
 :func:`batch_rebuild` is the parity oracle: a cold, from-scratch
 rebuild of the same snapshot at the same watermark, using the BFS
-component reference instead of the union-find and a single full-history
-expansion instead of cursors.  ``tests/stream/test_parity.py`` asserts
-the two produce byte-identical indexes across delta batch sizes and
-arrival orders; ``benchmarks/bench_stream.py`` uses the same oracle as
-the full-rebuild baseline the incremental loop is measured against.
+component reference instead of the union-find, a single full-history
+expansion instead of cursors, and the whole-dataset ``build_index``
+instead of per-key derivation.  ``tests/stream/test_parity.py`` asserts
+the published bytes equal it across delta batch sizes and arrival
+orders; ``benchmarks/bench_stream.py`` uses the same oracle as the
+full-rebuild baseline the incremental loop is measured against.
 
 Everything here is deterministic: per-entry site confirmation is a pure
 function of the frozen fingerprint DB (:func:`confirm_entry` — the
@@ -37,6 +39,7 @@ from repro.stream.clusters import (
     components_from_edges,
     derive_clustering,
 )
+from repro.stream.derive import IndexDeriver
 from repro.stream.snowball import IncrementalExpander
 from repro.stream.source import DeltaSource, StreamCursor
 from repro.webdetect.detector import SiteReport
@@ -197,6 +200,7 @@ class StreamPipeline:
         self._review: deque = deque()
         self.ticks = 0
         self.watermark_ts: int | None = None
+        self.deriver = self._new_deriver()
 
     # -- the loop ------------------------------------------------------------
 
@@ -222,6 +226,10 @@ class StreamPipeline:
             if delta.entries:
                 with self.obs.span("stream.webdetect"):
                     confirmed = self._process_entries(delta.entries)
+        self.deriver.mark(
+            contracts=report.admitted + report.contracts_with_new_matches,
+            sites=self.site_reports[len(self.site_reports) - confirmed:],
+        )
 
         summary = TickSummary(
             tick=self.ticks,
@@ -283,24 +291,33 @@ class StreamPipeline:
         return summary
 
     def publish(self):
-        """Derive the snapshot at the current watermark and ship it."""
+        """Derive the snapshot at the current watermark and ship it.
+
+        A tick that dirtied nothing hands the publisher the index it
+        already serves, which it publishes as a ``noop``."""
         index = self.build_index_at()
-        return self.publisher.publish(index, watermark_ts=self.watermark_ts)
+        receipt = self.publisher.publish(
+            index, watermark_ts=self.watermark_ts, tick=self.ticks
+        )
+        self.deriver.adopt(self.publisher.published)
+        return receipt
 
     def build_index_at(self) -> IntelIndex:
-        """The full intel index as of the current watermark — the value
-        whose bytes the parity matrix pins against :func:`batch_rebuild`."""
-        with self.obs.span("stream.derive"):
-            dataset = self.expander.derive_dataset()
-            clustering = derive_clustering(
-                dataset, self.families.components(), self.analyzer.explorer
-            )
-            return build_index(
-                dataset,
-                clustering=clustering,
-                site_reports=list(self.site_reports),
-                signals=self.signals,
-            )
+        """The intel index as of the current watermark — the value whose
+        bytes the parity matrix pins against :func:`batch_rebuild`.
+        Only the records the ticks since the last call dirtied are
+        re-derived (:class:`~repro.stream.derive.IndexDeriver`)."""
+        return self.deriver.derive()
+
+    def _new_deriver(self) -> IndexDeriver:
+        return IndexDeriver(
+            self.expander,
+            self.families,
+            self.analyzer.explorer,
+            self.obs,
+            site_reports=self.site_reports,
+            signals=self.signals,
+        )
 
     # -- tick internals ------------------------------------------------------
 
@@ -439,6 +456,9 @@ class StreamPipeline:
         self._review = deque(payload.get("review", []))
         self.ticks = int(payload.get("ticks", 0))
         self.watermark_ts = payload.get("watermark_ts")
+        # Derived caches are not checkpointed: the next derivation
+        # rebuilds them from the restored state, every key dirty.
+        self.deriver = self._new_deriver()
         self.obs.event(
             "stream.resumed",
             ticks=self.ticks,

@@ -3,13 +3,17 @@
 A streamed :class:`~repro.serve.index.IntelIndex` changes a little per
 tick, so the publisher ships **deltas**: :func:`compute_index_delta`
 diffs two indexes into per-kind upserts/removals (payload-level, the
-same canonical dicts the index serializes), and
+same canonical dicts the index serializes; a record that is the same
+object in both indexes is unchanged without a look), and
 :func:`apply_index_delta` replays a delta onto the base index with two
 hard checks — the base content-hash must match (no silent divergence)
 and the rebuilt index's version must equal the delta's target (no
-corrupt application).  A delta that survives both is *proof* the
-applied index is byte-identical to the builder's; that property is what
-lets the parity tests compare streamed bytes against cold rebuilds.
+corrupt application).  The rebuilt index keeps the base's encoded
+fragments for untouched keys and encodes the upserts from the delta's
+own payloads, so the target check hashes the bytes the delta carries.
+A delta that survives both is *proof* the applied index is
+byte-identical to the builder's; that property is what lets the parity
+tests compare streamed bytes against cold rebuilds.
 
 Publication is the serve plane's existing zero-drop path: the on-disk
 file is swapped with :func:`~repro.runtime.atomicio.atomic_write_bytes`
@@ -36,6 +40,7 @@ from repro.serve.index import (
     DomainIntel,
     FamilyRecord,
     IntelIndex,
+    encode_entry,
 )
 
 __all__ = [
@@ -104,8 +109,11 @@ def compute_index_delta(old: IntelIndex, new: IntelIndex) -> IndexDelta:
         new_map = getattr(new, kind)
         kind_upserts: dict[str, dict] = {}
         for key in sorted(new_map):
-            payload = new_map[key].to_payload()
+            record = new_map[key]
             previous = old_map.get(key)
+            if previous is record:
+                continue
+            payload = record.to_payload()
             if previous is None or previous.to_payload() != payload:
                 kind_upserts[key] = payload
         kind_removals = sorted(k for k in old_map if k not in new_map)
@@ -129,19 +137,15 @@ def apply_index_delta(base: IntelIndex, delta: IndexDelta) -> IntelIndex:
             f"delta expects base {delta.base_version}, "
             f"but the published index is {base.version}"
         )
-    maps = {}
+    records: dict[str, dict] = {}
+    fragments: dict[str, dict[str, bytes]] = {}
     for kind in _KINDS:
         codec = _CODECS[kind]
-        updated = dict(getattr(base, kind))
-        for key in delta.removals.get(kind, ()):
-            updated.pop(key, None)
-        for key, payload in delta.upserts.get(kind, {}).items():
-            updated[key] = codec.from_payload(payload)
-        maps[kind] = updated
-    rebuilt = IntelIndex(
-        addresses=maps["addresses"],
-        domains=maps["domains"],
-        families=maps["families"],
+        upserts = delta.upserts.get(kind, {})
+        records[kind] = {key: codec.from_payload(p) for key, p in upserts.items()}
+        fragments[kind] = {key: encode_entry(key, p) for key, p in upserts.items()}
+    rebuilt = base.with_changes(
+        upserts=records, removals=delta.removals, fragments=fragments
     )
     if rebuilt.version != delta.target_version:
         raise IndexDeltaError(
@@ -199,19 +203,32 @@ class StreamPublisher:
         self.publishes = 0
         self.last_delta: IndexDelta | None = None
 
-    def publish(self, index: IntelIndex, watermark_ts: int | None = None) -> PublishReceipt:
+    def publish(
+        self,
+        index: IntelIndex,
+        watermark_ts: int | None = None,
+        tick: int | None = None,
+    ) -> PublishReceipt:
         """Make ``index`` the served truth (file + hot-reload), by delta
-        when a previous version is live."""
-        with self.obs.span("stream.publish", version=index.version):
+        when a previous version is live.  ``tick`` (the stream tick the
+        index is current through) is stamped on the span and event next
+        to the version and watermark, so a served version walks back to
+        the tick that produced it."""
+        with self.obs.span(
+            "stream.publish",
+            version=index.version,
+            tick=tick,
+            watermark_ts=watermark_ts,
+        ):
             if self.published is None:
-                receipt = self._publish_full(index, watermark_ts)
+                receipt = self._publish_full(index, watermark_ts, tick)
             else:
-                receipt = self._publish_delta(index, watermark_ts)
+                receipt = self._publish_delta(index, watermark_ts, tick)
         self.published_at = self.clock()
         self._observe_staleness(0.0)
         return receipt
 
-    def _publish_full(self, index, watermark_ts) -> PublishReceipt:
+    def _publish_full(self, index, watermark_ts, tick) -> PublishReceipt:
         self._install(index)
         self._count_publish("full")
         self.obs.event(
@@ -220,14 +237,17 @@ class StreamPublisher:
             mode="full",
             records=len(index),
             watermark_ts=watermark_ts,
+            tick=tick,
         )
         return PublishReceipt(
             version=index.version, mode="full", watermark_ts=watermark_ts
         )
 
-    def _publish_delta(self, index, watermark_ts) -> PublishReceipt:
-        delta = compute_index_delta(self.published, index)
-        if delta.empty:
+    def _publish_delta(self, index, watermark_ts, tick) -> PublishReceipt:
+        # A stream tick that changed nothing hands back the served index.
+        unchanged = index is self.published
+        delta = None if unchanged else compute_index_delta(self.published, index)
+        if unchanged or delta.empty:
             self._count_publish("noop")
             return PublishReceipt(
                 version=self.published.version, mode="noop",
@@ -257,6 +277,7 @@ class StreamPublisher:
             upserts=delta.upsert_count,
             removals=delta.removal_count,
             watermark_ts=watermark_ts,
+            tick=tick,
         )
         return PublishReceipt(
             version=applied.version,

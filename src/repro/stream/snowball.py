@@ -37,10 +37,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.dataset import DaaSDataset
+from repro.core.dataset import DaaSDataset, Provenance
 from repro.core.pipeline import ContractAnalyzer, split_roles
 
-__all__ = ["IncrementalExpander", "TickReport"]
+__all__ = ["IncrementalExpander", "STREAM_PROVENANCE", "TickReport"]
+
+#: Provenance of every stream-discovered entity: a constant, so no
+#: record can depend on how the prefix was sliced into deltas.
+STREAM_PROVENANCE = Provenance("expansion", "stream")
 
 
 @dataclass(slots=True)
@@ -286,17 +290,18 @@ class IncrementalExpander:
             prov = seeds.provenance[address]
             dataset.add_affiliate(address, stage=prov.stage, source=prov.source)
 
+        stage, source = STREAM_PROVENANCE.stage, STREAM_PROVENANCE.source
         for contract in sorted(self.contracts):
             matches = self.matches_of(contract)
             if contract not in seeds.contracts:
-                dataset.add_contract(contract, stage="expansion", source="stream")
+                dataset.add_contract(contract, stage=stage, source=source)
             if not matches:
                 continue
             operators, affiliates = split_roles(matches)
             for operator in sorted(operators):
-                dataset.add_operator(operator, stage="expansion", source="stream")
+                dataset.add_operator(operator, stage=stage, source=source)
             for affiliate in sorted(affiliates):
-                dataset.add_affiliate(affiliate, stage="expansion", source="stream")
+                dataset.add_affiliate(affiliate, stage=stage, source=source)
             for record in self.analyzer.to_records(matches):
                 dataset.add_transaction(record)
         return dataset

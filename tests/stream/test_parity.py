@@ -1,16 +1,21 @@
 """The streaming plane's one invariant: batching must not matter.
 
-After any sequence of ticks ending at watermark ``W``, the incremental
-state must derive an index byte-identical to a cold, from-scratch
-rebuild at ``W`` (:func:`repro.stream.batch_rebuild` — full-history
-expansion, BFS components, one-pass site confirmation; nothing shared
-with the incremental code paths beyond the admission rule itself).
+After any sequence of ticks ending at watermark ``W``, the bytes the
+stream *published* must equal a cold, from-scratch rebuild at ``W``
+(:func:`repro.stream.batch_rebuild` — full-history expansion, BFS
+components, one-pass site confirmation, whole-dataset ``build_index``;
+nothing shared with the incremental code paths beyond the admission
+rule and the per-record functions).
 
 The tier-1 matrix drives the first ``_PREFIX_BLOCKS`` blocks through
 every delta batch size in {1, 7, 64} plus shuffled (randomly sized)
-arrival plans, all ending at the same watermark; the ``stream_soak``
-variant (``pytest --run-soak``) runs the same matrix over the session
-world's *full* backlog, CT tail included.
+arrival plans, all ending at the same watermark, with a file-sink
+publisher publishing every tick — so every intermediate delta is
+applied and verified on the way; the ``stream_soak`` variant
+(``pytest --run-soak``) runs the same matrix over the session world's
+*full* backlog, CT tail included.  :class:`TestPublishedBytesPerTick`
+checks every tick's published file against a from-scratch
+``build_index`` of the same state.
 """
 
 from __future__ import annotations
@@ -19,7 +24,13 @@ import random
 
 import pytest
 
-from repro.stream import StreamPipeline, batch_rebuild
+from repro.serve.index import build_index
+from repro.stream import (
+    StreamPipeline,
+    StreamPublisher,
+    batch_rebuild,
+    derive_clustering,
+)
 
 #: lcm-friendly prefix (divisible by every fixed batch size), chosen
 #: deep enough that the watermark has released CT entries — the matrix
@@ -59,6 +70,31 @@ def _drain(pipe: StreamPipeline) -> None:
         pass
 
 
+def _publish_plan(pipe: StreamPipeline, plan: list[int], every: int = 1) -> bytes:
+    """Tick through ``plan``, publishing every ``every`` ticks and once
+    after the last; returns the published file's bytes."""
+    for n, size in enumerate(plan, 1):
+        pipe.delta_batch = size
+        assert pipe.tick() is not None
+        if n % every == 0:
+            pipe.publish()
+    if len(plan) % every:
+        pipe.publish()
+    return pipe.publisher.path.read_bytes()
+
+
+@pytest.fixture()
+def publishing(make_pipeline, tmp_path):
+    """Pipelines publishing to a fresh index file."""
+
+    def _make(**kwargs) -> StreamPipeline:
+        return make_pipeline(
+            publisher=StreamPublisher(path=tmp_path / "intel.json"), **kwargs
+        )
+
+    return _make
+
+
 class TestParityMatrix:
     """{1, 7, 64} × shuffled arrival plans, all pinned at one watermark."""
 
@@ -77,20 +113,66 @@ class TestParityMatrix:
         return probe.watermark_ts, cold
 
     @pytest.mark.parametrize("batch", _BATCH_SIZES)
-    def test_fixed_batch_sizes(self, make_pipeline, oracle, batch):
+    def test_fixed_batch_sizes(self, publishing, oracle, batch):
         watermark_ts, cold = oracle
-        pipe = make_pipeline()
-        _drive(pipe, _plan_fixed(_PREFIX_BLOCKS, batch))
+        pipe = publishing()
+        published = _publish_plan(pipe, _plan_fixed(_PREFIX_BLOCKS, batch))
         assert pipe.watermark_ts == watermark_ts
-        assert pipe.build_index_at().to_bytes() == cold.to_bytes()
+        assert published == cold.to_bytes()
 
     @pytest.mark.parametrize("seed", _SHUFFLE_SEEDS)
-    def test_shuffled_arrival_plans(self, make_pipeline, oracle, seed):
+    def test_shuffled_arrival_plans(self, publishing, oracle, seed):
         watermark_ts, cold = oracle
-        pipe = make_pipeline()
-        _drive(pipe, _plan_shuffled(_PREFIX_BLOCKS, seed))
+        pipe = publishing()
+        published = _publish_plan(pipe, _plan_shuffled(_PREFIX_BLOCKS, seed))
         assert pipe.watermark_ts == watermark_ts
-        assert pipe.build_index_at().to_bytes() == cold.to_bytes()
+        assert published == cold.to_bytes()
+
+    def test_publish_every_third_tick(self, publishing, oracle):
+        """Deltas spanning several ticks' dirty keys land on the same bytes."""
+        watermark_ts, cold = oracle
+        pipe = publishing()
+        published = _publish_plan(pipe, _plan_shuffled(_PREFIX_BLOCKS, 5), every=3)
+        assert pipe.watermark_ts == watermark_ts
+        assert published == cold.to_bytes()
+
+    def test_signal_free_publication(
+        self, publishing, oracle, world, stream_ctx, web_world, web_db
+    ):
+        watermark_ts, _ = oracle
+        analyzer, seeds = stream_ctx
+        pipe = publishing(signals=False)
+        published = _publish_plan(pipe, _plan_fixed(_PREFIX_BLOCKS, 64))
+        cold = batch_rebuild(
+            world, analyzer, seeds, web=web_world, db=web_db,
+            signals=False, watermark_ts=watermark_ts,
+        )
+        assert published == cold.to_bytes()
+
+
+class TestPublishedBytesPerTick:
+    def test_every_publish_equals_a_full_rebuild_of_its_state(
+        self, publishing, stream_ctx
+    ):
+        """After every tick, the published file equals ``build_index``
+        over the state re-derived whole — the full rebuild survives as
+        this verifier of the per-key deriver."""
+        analyzer, _ = stream_ctx
+        pipe = publishing()
+        modes = set()
+        for size in _plan_fixed(_PREFIX_BLOCKS, 64):
+            pipe.delta_batch = size
+            assert pipe.tick() is not None
+            modes.add(pipe.publish().mode)
+            dataset = pipe.expander.derive_dataset()
+            clustering = derive_clustering(
+                dataset, pipe.families.components(), analyzer.explorer
+            )
+            full = build_index(
+                dataset, clustering=clustering, site_reports=list(pipe.site_reports)
+            )
+            assert pipe.publisher.path.read_bytes() == full.to_bytes()
+        assert {"full", "delta"} <= modes
 
 
 class TestFullDrainParity:
@@ -120,20 +202,22 @@ class TestFullDrainParity:
         )
         assert pipe.build_index_at().to_bytes() == cold.to_bytes()
 
-    def test_signals_flag_propagates(self, make_pipeline, world, stream_ctx):
+    def test_signals_flag_propagates(self, publishing, world, stream_ctx):
         analyzer, seeds = stream_ctx
-        pipe = make_pipeline(web=False, delta_batch=512, signals=False)
-        _drain(pipe)
+        pipe = publishing(web=False, delta_batch=512, signals=False)
+        while pipe.tick() is not None:
+            pipe.publish()
         cold = batch_rebuild(world, analyzer, seeds, signals=False)
+        assert pipe.publisher.path.read_bytes() == cold.to_bytes()
         index = pipe.build_index_at()
-        assert index.to_bytes() == cold.to_bytes()
         assert all(not i.signals for i in index.addresses.values())
 
 
 @pytest.mark.stream_soak
 class TestFullScaleSoak:
-    """The full-backlog matrix: every batch size and shuffle plan must
-    land on the fully drained oracle, web half included."""
+    """The full-backlog matrix: every batch size and shuffle plan,
+    publishing every tick, must land on the fully drained oracle, web
+    half included."""
 
     @pytest.fixture(scope="class")
     def full_oracle(self, world, stream_ctx, web_world, web_db):
@@ -142,18 +226,23 @@ class TestFullScaleSoak:
             world, analyzer, seeds, web=web_world, db=web_db
         )
 
-    @pytest.mark.parametrize("batch", _BATCH_SIZES)
-    def test_fixed_batch_sizes(self, make_pipeline, full_oracle, batch):
-        pipe = make_pipeline(delta_batch=batch)
-        _drain(pipe)
-        assert pipe.build_index_at().to_bytes() == full_oracle.to_bytes()
-
-    @pytest.mark.parametrize("seed", _SHUFFLE_SEEDS)
-    def test_shuffled_arrival_plans(self, make_pipeline, full_oracle, seed):
-        pipe = make_pipeline()
-        rng = random.Random(seed)
+    @staticmethod
+    def _drain_publishing(pipe: StreamPipeline, sizes) -> bytes:
         while True:
-            pipe.delta_batch = rng.randint(1, 16)
+            pipe.delta_batch = next(sizes)
             if pipe.tick() is None:
                 break
-        assert pipe.build_index_at().to_bytes() == full_oracle.to_bytes()
+            pipe.publish()
+        return pipe.publisher.path.read_bytes()
+
+    @pytest.mark.parametrize("batch", _BATCH_SIZES)
+    def test_fixed_batch_sizes(self, publishing, full_oracle, batch):
+        published = self._drain_publishing(publishing(), iter(lambda: batch, None))
+        assert published == full_oracle.to_bytes()
+
+    @pytest.mark.parametrize("seed", _SHUFFLE_SEEDS)
+    def test_shuffled_arrival_plans(self, publishing, full_oracle, seed):
+        rng = random.Random(seed)
+        sizes = iter(lambda: rng.randint(1, 16), None)
+        published = self._drain_publishing(publishing(), sizes)
+        assert published == full_oracle.to_bytes()

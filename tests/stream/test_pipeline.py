@@ -56,6 +56,44 @@ class TestCheckpointResume:
             == control.build_index_at().to_bytes()
         )
 
+    def test_restore_then_incremental_publish_matches(
+        self, world, stream_ctx, web_world, web_db, tmp_path
+    ):
+        """A restored pipeline rebuilds its derived caches on its first
+        publish (every key dirty), then publishes per-tick deltas that
+        land on the uninterrupted run's bytes."""
+        analyzer, seeds = stream_ctx
+        manager = CheckpointManager(tmp_path / "ck.json")
+
+        def make(name, **kwargs):
+            return StreamPipeline(
+                world, analyzer, seeds, web=web_world, db=web_db, delta_batch=16,
+                publisher=StreamPublisher(path=tmp_path / name), **kwargs,
+            )
+
+        first = make("first.json", checkpoint=manager)
+        for _ in range(5):
+            first.tick()
+            first.publish()
+        first.save_checkpoint()
+
+        resumed = make("resumed.json", checkpoint=manager)
+        assert resumed.restore(manager.load()) is True
+        control = make("control.json")
+        for _ in range(5):
+            control.tick()
+            control.publish()
+        modes = []
+        for _ in range(8):
+            resumed.tick()
+            control.tick()
+            modes.append(resumed.publish().mode)
+            control.publish()
+            assert (tmp_path / "resumed.json").read_bytes() == (
+                tmp_path / "control.json"
+            ).read_bytes()
+        assert modes[0] == "full" and "delta" in modes[1:]
+
     def test_restore_rejects_other_stages(self, make_pipeline):
         pipe = make_pipeline(web=False)
         assert pipe.restore({"stage": "snowball"}) is False
@@ -190,3 +228,77 @@ class TestEmptyWorldEdge:
         if tail is not None:  # only when the CT log outlives the chain
             assert tail.blocks == 0 and tail.entries > 0
         assert pipe.tick() is None
+
+
+class TestIncrementalPublish:
+    """Publish cost follows the delta: a clean tick derives nothing."""
+
+    @pytest.fixture()
+    def observed(self, world, stream_ctx, tmp_path):
+        _, seeds = stream_ctx
+        obs = Observability(run_id="incremental")
+        clock = _Clock()
+        publisher = StreamPublisher(path=tmp_path / "intel.json", obs=obs, clock=clock)
+        pipe = StreamPipeline(
+            world, _observed_analyzer(world, obs), seeds,
+            publisher=publisher, delta_batch=1,
+        )
+        pipe.tick()
+        assert pipe.publish().mode == "full"
+        return pipe, obs, clock
+
+    @staticmethod
+    def _rederived(obs) -> float:
+        return sum(
+            obs.metrics.value("daas_stream_rederived_total", kind=kind) or 0
+            for kind in ("addresses", "domains", "families")
+        )
+
+    def test_clean_tick_publishes_noop_and_refreshes_staleness(self, observed):
+        pipe, obs, clock = observed
+        while True:
+            assert pipe.tick() is not None
+            if pipe.deriver.clean:
+                break
+            pipe.publish()
+        served = pipe.publisher.published
+        clock.now += 12.0
+        assert pipe.publisher.check_staleness() == pytest.approx(12.0)
+        derives = sum(1 for s in obs.tracer.finished if s.name == "stream.derive")
+        before = self._rederived(obs)
+        noops = obs.metrics.value("daas_stream_publishes_total", mode="noop") or 0
+
+        receipt = pipe.publish()
+        assert receipt.mode == "noop"
+        assert receipt.version == served.version
+        assert pipe.publisher.published is served
+        assert self._rederived(obs) == before
+        assert sum(1 for s in obs.tracer.finished if s.name == "stream.derive") == derives
+        assert obs.metrics.value("daas_stream_staleness_seconds") == 0.0
+        assert obs.metrics.value("daas_stream_publishes_total", mode="noop") == noops + 1
+
+    def test_one_contract_delta_rederives_few_records(self, observed):
+        pipe, obs, _ = observed
+        while True:
+            assert pipe.tick() is not None
+            if len(pipe.deriver._dirty) == 1 and pipe.deriver._new_sites == []:
+                break
+            pipe.publish()
+        before = obs.metrics.value("daas_stream_rederived_total", kind="addresses") or 0
+        receipt = pipe.publish()
+        added = obs.metrics.value("daas_stream_rederived_total", kind="addresses") - before
+        assert receipt.mode == "delta"
+        assert 0 < added <= len(pipe.publisher.published) // 4
+        published = [e for e in obs.log.events if e["event"] == "stream.published"]
+        assert published[-1]["tick"] == pipe.ticks
+        span = [s for s in obs.tracer.finished if s.name == "stream.publish"][-1]
+        assert span.attrs["tick"] == pipe.ticks
+        assert span.attrs["watermark_ts"] == pipe.watermark_ts
+
+
+class _Clock:
+    def __init__(self) -> None:
+        self.now = 1000.0
+
+    def __call__(self) -> float:
+        return self.now

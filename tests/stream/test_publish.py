@@ -92,21 +92,26 @@ class TestStreamPublisher:
         obs = Observability(run_id="pub")
         publisher = StreamPublisher(path=path, obs=obs, engine=engine)
 
-        first = publisher.publish(_index(3), watermark_ts=100)
+        first = publisher.publish(_index(3), watermark_ts=100, tick=1)
         assert first.mode == "full"
         # Two new addresses plus the changed family record.
-        second = publisher.publish(_index(5), watermark_ts=200)
+        second = publisher.publish(_index(5), watermark_ts=200, tick=2)
         assert second.mode == "delta" and second.upserts == 3
-        third = publisher.publish(_index(5), watermark_ts=300)
+        third = publisher.publish(_index(5), watermark_ts=300, tick=3)
         assert third.mode == "noop"
+        # Handing back the served index itself is a noop without a diff.
+        fourth = publisher.publish(publisher.published, watermark_ts=400, tick=4)
+        assert fourth.mode == "noop"
 
         # Every sink converged on the delta-applied object.
         assert engine.index_version == _index(5).version
         assert IntelIndex.load(path).version == _index(5).version
-        modes = [
-            e["mode"] for e in obs.log.events if e["event"] == "stream.published"
+        published = [e for e in obs.log.events if e["event"] == "stream.published"]
+        assert [(e["mode"], e["tick"]) for e in published] == [("full", 1), ("delta", 2)]
+        spans = [s for s in obs.tracer.finished if s.name == "stream.publish"]
+        assert [(s.attrs["tick"], s.attrs["watermark_ts"]) for s in spans] == [
+            (1, 100), (2, 200), (3, 300), (4, 400)
         ]
-        assert modes == ["full", "delta"]
 
     def test_delta_metrics_count_kinds_and_ops(self):
         obs = Observability(run_id="pub-m")
