@@ -1,7 +1,7 @@
-"""Serving-layer performance: engine latency, HTTP load, transport parity.
+"""Serving-layer performance: engine latency, HTTP load, core parity.
 
 Not a paper artifact — quantifies whether the serving plane holds up at
-wallet-integration rates (ROADMAP item 2: the threaded server left a
+wallet-integration rates (a thread-per-request server once left a
 450× gap between index throughput and served throughput).  Sections:
 
 * engine: single-address lookups through the ``QueryEngine`` (p50/p99
@@ -20,8 +20,9 @@ wallet-integration rates (ROADMAP item 2: the threaded server left a
   (enabled registry, request ids, latency/size histograms, sampled
   access log) versus telemetry-dark — the throughput overhead is
   asserted < 5%;
-* parity: the full endpoint matrix against fresh threaded and async
-  servers must return byte-identical bodies.
+* parity: every status and body of the full endpoint matrix served by
+  a fresh async server equals a fresh in-process
+  ``IntelHandlerCore.handle`` fed the same request sequence.
 
 Per-endpoint p50/p99 and throughput land in ``out/perf_serve.json``;
 ``docs/capacity.md`` derives its sizing numbers from that file.
@@ -34,7 +35,7 @@ import socket
 import time
 
 from repro.analysis.reporting import render_table
-from repro.serve import AsyncIntelServer, IntelServer, QueryEngine, build_index
+from repro.serve import AsyncIntelServer, QueryEngine, build_index
 
 _LOOKUPS = 50_000
 _BATCH_SIZE = 256
@@ -413,25 +414,21 @@ def test_perf_serve(bench_pipeline, record_table, record_perf, tmp_path):
         if access_log.exists() else 0,
     }
 
-    # -- transport parity: threaded and async bodies byte-identical ----------
+    # -- core parity: served bytes equal the in-process core's ---------------
     requests = _parity_requests(known[0], ghost, index.version)
-    collected = {}
-    for label, factory in (
-        ("async", lambda: AsyncIntelServer(index=index)),
-        ("threaded", lambda: IntelServer(index=index)),
-    ):
-        parity_server = factory().start()
-        try:
-            client = BenchClient(parity_server.port)
-            collected[label] = [client.request(m, t, h, b)
-                                for m, t, h, b in requests]
-            client.close()
-        finally:
-            parity_server.stop()
-    for (m, t, _, _), a, th in zip(requests, collected["async"],
-                                   collected["threaded"]):
-        assert a[0] == th[0], f"parity: {m} {t} status {a[0]} != {th[0]}"
-        assert a[2] == th[2], f"parity: {m} {t} bodies differ"
+    parity_server = AsyncIntelServer(index=index).start()
+    try:
+        client = BenchClient(parity_server.port)
+        served = [client.request(m, t, h, b) for m, t, h, b in requests]
+        client.close()
+    finally:
+        parity_server.stop()
+    reference = IntelHandlerCore(index=index, max_batch=parity_server.max_batch)
+    for (m, t, h, b), got in zip(requests, served):
+        want = reference.handle(m, t, body=b,
+                                if_none_match=(h or {}).get("If-None-Match"))
+        assert got[0] == want.status, f"parity: {m} {t} status {got[0]} != {want.status}"
+        assert got[2] == want.body, f"parity: {m} {t} bodies differ"
 
     record_perf("perf_serve", {
         "index_addresses": len(index),

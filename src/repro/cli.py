@@ -22,10 +22,10 @@ Commands:
   index deltas with a bounded-staleness freshness contract
   (``docs/streaming.md``).
 * ``serve``         — the ``/v1`` query service over a prebuilt index:
-  asyncio keep-alive transport by default (``--threaded`` for the legacy
-  one, ``--serve-workers N`` for a pre-forked SO_REUSEPORT fleet), with
-  rate limiting, ETags, batch screening, and zero-drop hot reload
-  (``docs/serving.md``; sizing in ``docs/capacity.md``).
+  one asyncio keep-alive worker, or ``--serve-workers N`` for a
+  pre-forked SO_REUSEPORT fleet, with rate limiting, ETags, batch
+  screening, and zero-drop hot reload (``docs/serving.md``; sizing in
+  ``docs/capacity.md``).
 * ``query``         — one-shot lookups against an index file; exits 0
   when clean, 2 when the subject is known DaaS, 1 on error (the same
   0/2/1 convention as ``live-status``).
@@ -209,11 +209,16 @@ def _checkpoint_parent() -> argparse.ArgumentParser:
 
 
 def _obs(args: argparse.Namespace) -> Observability:
-    """Observability handle from the CLI flags; quiet unless asked."""
-    return Observability(
+    """Observability handle from the CLI flags; quiet unless asked.  Spans
+    are recorded only when ``--trace-out`` will write them: nothing else
+    reads them, and a long-running ``serve`` would otherwise keep one per
+    request until the tracer's ``max_spans`` cap."""
+    obs = Observability(
         log_stream=sys.stderr if getattr(args, "log_json", False) else None,
         log_fmt="json",
     )
+    obs.tracer.enabled = bool(getattr(args, "trace_out", ""))
+    return obs
 
 
 def _retry_policy(args: argparse.Namespace) -> RetryPolicy | None:
@@ -779,25 +784,21 @@ def cmd_stream_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _serve_telemetry_kwargs(args: argparse.Namespace, worker_id: int = 0) -> dict:
-    """The per-request-telemetry constructor kwargs both transports take."""
-    access_log = getattr(args, "access_log", "")
-    status_dir = getattr(args, "status_dir", "")
-    return {
-        "access_log_path": access_log or None,
-        "access_log_sample": getattr(args, "access_log_sample", 1),
-        "slow_request_ms": getattr(args, "slow_request_ms", 500.0),
-        "worker_id": worker_id,
-        "status_dir": status_dir or None,
-        "status_every_s": getattr(args, "status_every", 5.0),
-    }
-
-
 def cmd_serve(args: argparse.Namespace) -> int:
-    import time as _time
-    from pathlib import Path
+    """One run path for one worker or N: bind, print the banner, then run
+    each worker's event loop in the foreground of its own process.
 
-    from repro.serve import AsyncIntelServer, IndexFormatError, IntelServer
+    One worker gets a plain listener and runs in this process; N workers
+    get N ``SO_REUSEPORT`` listeners bound here (resolving port 0 once)
+    and one forked child each.  The kernel spreads accepted connections
+    across the listeners: no shared state, no coordination (topology
+    notes in ``docs/serving.md``, sizing in ``docs/capacity.md``).
+    """
+    import os
+    import signal
+    import socket
+
+    from repro.serve import IndexFormatError, preforked_sockets
 
     try:
         index = _load_index(args)
@@ -808,149 +809,35 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if workers < 1:
         print("--serve-workers must be >= 1", file=sys.stderr)
         return 1
-    if workers > 1:
-        if args.threaded:
-            print("--serve-workers requires the async server "
-                  "(drop --threaded)", file=sys.stderr)
-            return 1
-        return _serve_preforked(args, index, workers)
-
-    obs = _obs(args)
-    reload_every = args.reload_every
-    index_path = Path(args.index)
-    if args.threaded:
-        server = IntelServer(
-            index=index,
-            obs=obs,
-            host=args.host,
-            port=args.port,
-            rate_limit=args.rate_limit,
-            burst=args.burst,
-            max_concurrency=args.max_concurrency,
-            max_batch=args.max_batch,
-            max_body_bytes=args.max_body_bytes,
-            **_serve_telemetry_kwargs(args),
-        )
-        server.start()
-    else:
-        server = AsyncIntelServer(
-            index=index,
-            obs=obs,
-            host=args.host,
-            port=args.port,
-            rate_limit=args.rate_limit,
-            burst=args.burst,
-            max_concurrency=args.max_concurrency,
-            max_batch=args.max_batch,
-            max_body_bytes=args.max_body_bytes,
-            read_timeout_s=args.read_timeout,
-            **_serve_telemetry_kwargs(args),
-        )
-        server.start(
-            reload_path=str(index_path) if reload_every > 0 else None,
-            reload_every=reload_every,
-        )
-    transport = "threaded" if args.threaded else "asyncio"
-    print(f"serving index {index.version} on {server.url} [{transport}] "
-          "(/v1/address /v1/domain /v1/screen /v1/families /v1/index "
-          "/healthz /statusz /metrics)")
-    try:
-        # The async transport watches the index file itself; the
-        # threaded one polls here, same cadence as before.
-        last_mtime = index_path.stat().st_mtime if reload_every > 0 else 0.0
-        while True:
-            _time.sleep(reload_every if reload_every > 0 else 1.0)
-            if reload_every <= 0 or not args.threaded:
-                continue
-            try:
-                mtime = index_path.stat().st_mtime
-            except OSError:
-                continue
-            if mtime != last_mtime:
-                last_mtime = mtime
-                version = server.reload(str(index_path))
-                if version is not None:
-                    print(f"hot-reloaded index {version}")
-    except KeyboardInterrupt:
-        print("\nshutting down")
-    finally:
-        server.stop()
-        _write_obs(args, obs)
-    return 0
-
-
-def _serve_preforked(args: argparse.Namespace, index, workers: int) -> int:
-    """``--serve-workers N``: N forked processes on one SO_REUSEPORT port.
-
-    Listeners are bound in the parent (resolving port 0 once), then each
-    child inherits exactly one and runs its own event loop over its own
-    copy of the immutable index.  The kernel spreads accepted
-    connections across the listeners — no shared state, no coordination
-    (topology notes in ``docs/serving.md``, sizing in
-    ``docs/capacity.md``).
-    """
-    import asyncio
-    import os
-    import signal
-
-    from repro.serve import AsyncIntelServer, preforked_sockets
-
-    if not hasattr(os, "fork"):
+    if workers > 1 and not hasattr(os, "fork"):
         print("--serve-workers needs os.fork (POSIX only)", file=sys.stderr)
         return 1
     try:
-        sockets, port = preforked_sockets(args.host, args.port, workers)
+        if workers == 1:
+            sockets = [socket.create_server((args.host, args.port))]
+            port = sockets[0].getsockname()[1]
+        else:
+            sockets, port = preforked_sockets(args.host, args.port, workers)
     except OSError as exc:
-        print(f"cannot bind {workers} SO_REUSEPORT listeners: {exc}",
-              file=sys.stderr)
+        print(f"cannot bind {args.host}:{args.port}: {exc}", file=sys.stderr)
         return 1
+    transport = "asyncio" if workers == 1 else f"asyncio x{workers} workers"
     print(f"serving index {index.version} on http://{args.host}:{port} "
-          f"[asyncio x{workers} workers] "
+          f"[{transport}] "
           "(/v1/address /v1/domain /v1/screen /v1/families /v1/index "
-          "/healthz /statusz /metrics)")
+          "/healthz /statusz /metrics)", flush=True)
+    if workers == 1:
+        return _serve_worker(args, index, sockets[0], worker_id=0, workers=1)
     pids: list[int] = []
     for worker_id, sock in enumerate(sockets):
         pid = os.fork()
         if pid != 0:
             pids.append(pid)
             continue
-        # Child: keep only our listener, suffix per-worker obs outputs
-        # so N processes never write the same file.  The status dir is
-        # deliberately shared: each worker writes its own worker-N.json
-        # snapshot there, which is what makes any worker's /statusz
-        # answer for the whole fleet.
         for other in sockets:
             if other is not sock:
                 other.close()
-        child_args = argparse.Namespace(**vars(args))
-        for attr in ("metrics_out", "trace_out", "access_log"):
-            value = getattr(child_args, attr, "")
-            if value:
-                setattr(child_args, attr, f"{value}.w{worker_id}")
-        obs = _obs(child_args)
-        server = AsyncIntelServer(
-            index=index,
-            obs=obs,
-            host=args.host,
-            rate_limit=args.rate_limit,
-            burst=args.burst,
-            max_concurrency=args.max_concurrency,
-            max_batch=args.max_batch,
-            max_body_bytes=args.max_body_bytes,
-            read_timeout_s=args.read_timeout,
-            **_serve_telemetry_kwargs(child_args, worker_id=worker_id),
-        )
-        reload_path = str(args.index) if args.reload_every > 0 else None
-        try:
-            asyncio.run(server.run_async(
-                sock=sock, reload_path=reload_path,
-                reload_every=args.reload_every, workers=workers,
-            ))
-        except KeyboardInterrupt:
-            pass
-        finally:
-            _write_obs(child_args, obs)
-        os._exit(0)
+        os._exit(_serve_worker(args, index, sock, worker_id, workers))
     for sock in sockets:
         sock.close()
     try:
@@ -968,6 +855,60 @@ def _serve_preforked(args: argparse.Namespace, index, workers: int) -> int:
                 os.waitpid(pid, 0)
             except (ChildProcessError, KeyboardInterrupt):
                 pass
+    return 0
+
+
+def _serve_worker(
+    args: argparse.Namespace, index, sock, worker_id: int, workers: int
+) -> int:
+    """Serve on ``sock`` in this process's main thread until SIGINT, then
+    flush ``--trace-out`` / ``--metrics-out``.
+
+    Under ``--serve-workers N`` the per-worker outputs get a ``.wN``
+    suffix so N processes never write the same file.  The status dir is
+    deliberately shared: each worker writes its own ``worker-N.json``
+    snapshot there, which is what makes any worker's ``/statusz`` answer
+    for the whole fleet.
+    """
+    import asyncio
+
+    from repro.serve import AsyncIntelServer
+
+    if workers > 1:
+        args = argparse.Namespace(**vars(args))
+        for attr in ("metrics_out", "trace_out", "access_log"):
+            value = getattr(args, attr)
+            if value:
+                setattr(args, attr, f"{value}.w{worker_id}")
+    obs = _obs(args)
+    server = AsyncIntelServer(
+        index=index,
+        obs=obs,
+        host=args.host,
+        rate_limit=args.rate_limit,
+        burst=args.burst,
+        max_concurrency=args.max_concurrency,
+        max_batch=args.max_batch,
+        max_body_bytes=args.max_body_bytes,
+        read_timeout_s=args.read_timeout,
+        access_log_path=args.access_log or None,
+        access_log_sample=args.access_log_sample,
+        slow_request_ms=args.slow_request_ms,
+        worker_id=worker_id,
+        status_dir=args.status_dir or None,
+        status_every_s=args.status_every,
+    )
+    try:
+        asyncio.run(server.run_async(
+            sock=sock,
+            reload_path=args.index if args.reload_every > 0 else None,
+            reload_every=args.reload_every,
+            workers=workers,
+        ))
+    except KeyboardInterrupt:
+        pass  # asyncio.run already cancelled the loop and shut it down
+    finally:
+        _write_obs(args, obs)
     return 0
 
 
@@ -1221,10 +1162,6 @@ def main(argv: list[str] | None = None) -> int:
                    help="watch the --index file and hot-reload it on "
                         "change, without dropping in-flight requests "
                         "(0 = off)")
-    p.add_argument("--threaded", action="store_true",
-                   help="use the legacy thread-per-request transport "
-                        "instead of the asyncio server (migration aid; "
-                        "same endpoints, byte-identical bodies)")
     p.add_argument("--serve-workers", type=int, default=1, metavar="N",
                    help="pre-fork N async worker processes sharing one "
                         "SO_REUSEPORT port (POSIX only; default 1)")

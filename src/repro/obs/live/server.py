@@ -26,9 +26,9 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable
 
-__all__ = ["MetricsServer"]
+from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE
 
-PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+__all__ = ["MetricsServer"]
 
 
 class MetricsServer:

@@ -30,6 +30,7 @@ from typing import Any
 __all__ = [
     "CACHE_RATIO_BUCKETS",
     "LATENCY_BUCKETS",
+    "PROMETHEUS_CONTENT_TYPE",
     "SERVE_LATENCY_BUCKETS",
     "SERVE_SIZE_BUCKETS",
     "Counter",
@@ -66,6 +67,9 @@ SERVE_SIZE_BUCKETS = (
 
 #: Default buckets for cache hit ratios (a share in [0, 1]).
 CACHE_RATIO_BUCKETS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99, 1.0)
+
+#: HTTP ``Content-Type`` of :meth:`MetricsRegistry.to_prometheus` output.
+PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 _LabelsKey = tuple[tuple[str, str], ...]
 

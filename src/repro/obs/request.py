@@ -1,6 +1,6 @@
 """Per-request telemetry for the serve plane: ids, histograms, access log.
 
-Three concerns the HTTP transports share, factored out of them:
+Three concerns of the HTTP transport, factored out of it:
 
 * **request identity** — every response carries an ``X-Request-Id``
   header: an inbound id (a well-formed header token) is echoed verbatim
@@ -21,7 +21,7 @@ Three concerns the HTTP transports share, factored out of them:
 
 The cardinal rule of ``repro.obs`` applies: none of this perturbs
 response bodies.  ``tests/serve/test_telemetry.py`` drives the endpoint
-matrix through both transports with telemetry on and off and compares
+matrix through the server with telemetry on and off and compares
 bodies byte-for-byte; ``benchmarks/bench_serve.py`` asserts the
 throughput overhead stays under 5%.
 """

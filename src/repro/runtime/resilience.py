@@ -216,6 +216,9 @@ class CircuitBreaker:
 
     ``failure_threshold`` *consecutive* failures open the circuit; while
     open, :meth:`before_call` fails fast with :class:`CircuitOpenError`.
+    Runs of failures are counted per calling thread: a retry chain runs
+    on one thread, and under a parallel executor the interleaved
+    transient failures of concurrent chains are not one run.
     After ``reset_timeout_s`` (measured on the injectable monotonic
     ``clock``) the next call is admitted as a half-open trial: success
     closes the circuit, failure re-opens it for another timeout.
@@ -240,7 +243,7 @@ class CircuitBreaker:
         self._obs = obs
         self._lock = threading.RLock()
         self._state = BREAKER_CLOSED
-        self._consecutive_failures = 0
+        self._runs: dict[int, int] = {}  # thread ident -> failure run
         self._opened_at = 0.0
         self._half_open_inflight = False
 
@@ -248,6 +251,9 @@ class CircuitBreaker:
     def state(self) -> str:
         with self._lock:
             return self._state
+
+    def _longest_run(self) -> int:
+        return max(self._runs.values(), default=0)
 
     def before_call(self) -> None:
         """Admission check; raises :class:`CircuitOpenError` while open."""
@@ -260,7 +266,7 @@ class CircuitBreaker:
                 self._count("daas_breaker_rejections_total")
                 raise CircuitOpenError(
                     f"circuit for upstream {self.upstream!r} is open "
-                    f"({self._consecutive_failures} consecutive failures)"
+                    f"({self._longest_run()} consecutive failures)"
                 )
             if self._state == BREAKER_HALF_OPEN and self._half_open_inflight:
                 # Only one trial call probes a half-open circuit; others
@@ -275,21 +281,23 @@ class CircuitBreaker:
 
     def record_success(self) -> None:
         with self._lock:
-            self._consecutive_failures = 0
+            self._runs.pop(threading.get_ident(), None)
             self._half_open_inflight = False
             if self._state != BREAKER_CLOSED:
+                self._runs.clear()
                 self._transition(BREAKER_CLOSED)
 
     def record_failure(self) -> None:
         with self._lock:
-            self._consecutive_failures += 1
+            ident = threading.get_ident()
+            run = self._runs[ident] = self._runs.get(ident, 0) + 1
             self._half_open_inflight = False
             if self._state == BREAKER_HALF_OPEN:
                 self._opened_at = self._clock()
                 self._transition(BREAKER_OPEN)
             elif (
                 self._state == BREAKER_CLOSED
-                and self._consecutive_failures >= self.failure_threshold
+                and run >= self.failure_threshold
             ):
                 self._opened_at = self._clock()
                 self._transition(BREAKER_OPEN)
@@ -299,7 +307,7 @@ class CircuitBreaker:
             return {
                 "upstream": self.upstream,
                 "state": self._state,
-                "consecutive_failures": self._consecutive_failures,
+                "consecutive_failures": self._longest_run(),
             }
 
     # -- reporting -----------------------------------------------------------
@@ -329,7 +337,7 @@ class CircuitBreaker:
         if to == BREAKER_OPEN:
             self._obs.event(
                 "breaker.open", level="warning", upstream=self.upstream,
-                consecutive_failures=self._consecutive_failures,
+                consecutive_failures=self._longest_run(),
             )
         elif to == BREAKER_HALF_OPEN:
             self._obs.event("breaker.half_open", level="debug", upstream=self.upstream)
@@ -592,7 +600,11 @@ class FaultInjector:
     Keeps one call counter per ``(upstream, method)`` stream (for
     scripted ``at_calls`` / outage windows) and per-key attempt and
     consecutive-failure counters (for probabilistic rules), all behind
-    one lock.  Injections are tallied in ``daas_faults_injected_total``.
+    one lock.  The per-key counters are also per calling thread: a
+    retry chain runs on one thread, and two threads fetching the same
+    key must not reset each other's run of failures, or the
+    ``max_consecutive`` guarantee breaks under a parallel executor.
+    Injections are tallied in ``daas_faults_injected_total``.
     """
 
     def __init__(
@@ -606,8 +618,8 @@ class FaultInjector:
         self._sleep = sleep
         self._lock = threading.Lock()
         self._stream_calls: dict[tuple[str, str], int] = {}
-        self._key_attempts: dict[tuple[str, str, str], int] = {}
-        self._key_consecutive: dict[tuple[str, str, str], int] = {}
+        self._key_attempts: dict[tuple[str, str, str, int], int] = {}
+        self._key_consecutive: dict[tuple[str, str, str, int], int] = {}
         self.injected = 0
 
     def before_call(self, upstream: str, method: str, key: str) -> None:
@@ -619,7 +631,7 @@ class FaultInjector:
             stream = (upstream, method)
             call_index = self._stream_calls.get(stream, 0) + 1
             self._stream_calls[stream] = call_index
-            key_id = (upstream, method, key)
+            key_id = (upstream, method, key, threading.get_ident())
             attempt = self._key_attempts.get(key_id, 0) + 1
             self._key_attempts[key_id] = attempt
             consecutive = self._key_consecutive.get(key_id, 0)

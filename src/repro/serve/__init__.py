@@ -12,22 +12,20 @@ them into something a wallet or a screening feed can *ask*:
 * :mod:`repro.serve.ratelimit` — per-client token buckets;
 * :mod:`repro.serve.handler`   — :class:`IntelHandlerCore`, the
   transport-agnostic request core (routing, admission bookkeeping,
-  pre-serialized :class:`ServeResponse` cache) both HTTP transports
-  share;
+  pre-serialized :class:`ServeResponse` cache);
 * :mod:`repro.serve.aserver`   — :class:`AsyncIntelServer`, the asyncio
-  production transport: persistent keep-alive connections, batch-first
-  endpoints, chunked verdict streams, optional pre-forked multi-worker
-  mode via :func:`preforked_sockets`;
-* :mod:`repro.serve.server`    — :class:`IntelServer`, the threaded
-  ``/v1/*`` transport kept for embedding and as migration baseline;
+  HTTP transport over that core: persistent keep-alive connections,
+  batch-first endpoints, chunked verdict streams, optional pre-forked
+  multi-worker mode via :func:`preforked_sockets`;
 * :mod:`repro.serve.fleet`     — :class:`ServeAggregator`, the fleet
   metrics plane for pre-forked workers: atomic per-worker registry
   snapshots merged into one ``/statusz`` / ``/metrics`` view and the
   ``daas-repro index serve-status`` table (errors raise
   :class:`ServeStatusError`).
 
-Both transports serve the same endpoint matrix — ETags, rate limiting,
-bounded concurrency, zero-drop hot reload — with byte-identical bodies.
+The server adds framing, never bytes: every body it sends is the one
+:meth:`IntelHandlerCore.handle` returns, ETags, rate limiting, bounded
+concurrency and zero-drop hot reload included.
 
 CLI entry points: ``daas-repro index build``, ``daas-repro serve``,
 ``daas-repro query`` — see ``docs/serving.md`` and ``docs/capacity.md``.
@@ -54,7 +52,6 @@ from repro.serve.query import (
     ScreenVerdict,
 )
 from repro.serve.ratelimit import ClientRateLimiter, TokenBucket
-from repro.serve.server import IntelServer
 
 __all__ = [
     "AddressIntel",
@@ -65,7 +62,6 @@ __all__ = [
     "IndexFormatError",
     "IntelHandlerCore",
     "IntelIndex",
-    "IntelServer",
     "PreforkedListeners",
     "QueryEngine",
     "SCREEN_SCHEMA_VERSION",

@@ -1,16 +1,12 @@
 """Asyncio transport for the ``/v1`` intelligence query service.
 
-The :class:`AsyncIntelServer` is the production front end: one
+The :class:`AsyncIntelServer` is the service's one HTTP front end: an
 ``asyncio.start_server`` event loop multiplexing thousands of
-persistent keep-alive connections over the same
-:class:`~repro.serve.handler.IntelHandlerCore` the threaded
-:class:`~repro.serve.server.IntelServer` uses — so the two transports
-return byte-identical bodies for the whole endpoint matrix.  What the
-threaded server pays per request (thread spawn, socket teardown, full
-HTTP/1.0-style close), this one pays once per *connection*: a client
-pool opens N sockets and streams batch screenings down them back to
-back, which is what closes the 450× gap between raw index throughput
-and served throughput (ROADMAP item 2; measured in
+persistent keep-alive connections over one
+:class:`~repro.serve.handler.IntelHandlerCore`, which owns routing,
+admission bookkeeping and the response bytes.  Its cost is paid once
+per *connection*, not per request: a client pool opens N sockets and
+streams batch screenings down them back to back (measured in
 ``benchmarks/out/perf_serve.json``).
 
 Protocol handling is a deliberately minimal HTTP/1.1 pipeline:
@@ -26,10 +22,10 @@ Protocol handling is a deliberately minimal HTTP/1.1 pipeline:
   screening verdicts) so connections stay reusable; ``Connection:
   close`` is honored both ways.
 
-Admission control matches the threaded server exactly: request counter,
-per-client token bucket (``429`` + ``Retry-After``), then a bounded
-concurrency gate (``503`` after ``busy_timeout_s``).  Hot reload is the
-same zero-drop :meth:`~repro.serve.handler.IntelHandlerCore.reload`.
+Admission control: request counter, per-client token bucket (``429`` +
+``Retry-After``), then a bounded concurrency gate (``503`` after
+``busy_timeout_s``).  Hot reload is the zero-drop
+:meth:`~repro.serve.handler.IntelHandlerCore.reload`.
 
 For multi-core boxes, :func:`preforked_sockets` binds N ``SO_REUSEPORT``
 listeners on one port so ``--serve-workers N`` can fork N processes,
@@ -115,7 +111,8 @@ class AsyncIntelServer:
     Two ways to run it: :meth:`start`/:meth:`stop` spin the loop on a
     daemon thread (tests, notebooks, embedding next to a pipeline run);
     :meth:`run_async` serves in the caller's loop until cancelled or
-    :meth:`request_stop` (the CLI / pre-forked worker path).
+    :meth:`request_stop` (the path ``daas-repro serve`` runs in each
+    worker process's main thread).
     """
 
     def __init__(
@@ -288,9 +285,7 @@ class AsyncIntelServer:
         if loop is not None and stop is not None:
             loop.call_soon_threadsafe(stop.set)
 
-    def start(
-        self, reload_path: str | None = None, reload_every: float = 0.0
-    ) -> "AsyncIntelServer":
+    def start(self) -> "AsyncIntelServer":
         """Run the event loop on a daemon thread; returns once bound."""
         if self._thread is not None:
             return self
@@ -299,10 +294,7 @@ class AsyncIntelServer:
 
         def _runner() -> None:
             try:
-                asyncio.run(self.run_async(
-                    reload_path=reload_path, reload_every=reload_every,
-                    started=started,
-                ))
+                asyncio.run(self.run_async(started=started))
             except BaseException as exc:  # noqa: BLE001 - surfaced below
                 failure.append(exc)
                 started.set()

@@ -1,22 +1,21 @@
 """Transport-agnostic core of the ``/v1`` query service.
 
-Both HTTP front ends — the legacy threaded :class:`~repro.serve.server.
-IntelServer` and the asyncio :class:`~repro.serve.aserver.
-AsyncIntelServer` — are thin transports over one
-:class:`IntelHandlerCore`.  The core owns everything that is *not* a
-socket: routing, request validation, JSON serialization, the per-client
-rate limiter, the ``daas_serve_*`` instruments, index lifecycle
-(load / hot reload under a time budget), and a pre-serialized response
-cache so hot lookups and repeated screening batches are answered from
-cached bytes without touching ``json.dumps`` again.
+The asyncio :class:`~repro.serve.aserver.AsyncIntelServer` is a thin
+transport over one :class:`IntelHandlerCore`.  The core owns everything
+that is *not* a socket: routing, request validation, JSON
+serialization, the per-client rate limiter, the ``daas_serve_*``
+instruments, index lifecycle (load / hot reload under a time budget),
+and a pre-serialized response cache so hot lookups and repeated
+screening batches are answered from cached bytes without touching
+``json.dumps`` again.
 
-The contract that makes the two servers interchangeable: for any
-``(method, target, body, if_none_match)``, :meth:`IntelHandlerCore.
-handle` returns one :class:`ServeResponse` whose **body bytes are
-identical** regardless of transport.  ``tests/serve/test_aserver.py``
-drives the full endpoint matrix through both servers and compares
-bodies byte-for-byte; ``benchmarks/bench_serve.py`` re-asserts it under
-load.
+The transport adds framing, never bytes: for any ``(method, target,
+body, if_none_match)``, :meth:`IntelHandlerCore.handle` returns one
+:class:`ServeResponse`, and the body the server sends is exactly its
+``body``.  ``tests/serve/test_aserver.py`` drives the full endpoint
+matrix over HTTP and compares every status and body with a fresh
+in-process core fed the same requests; ``benchmarks/bench_serve.py``
+re-asserts it on the benchmark index.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from typing import Any
 from urllib.parse import parse_qs, unquote
 
 from repro.obs import AccessLog, Observability, RequestContext, RequestTelemetry
-from repro.obs.live.server import PROMETHEUS_CONTENT_TYPE
+from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE
 from repro.runtime.cache import ReadThroughCache
 from repro.serve.fleet import (
     ServeAggregator,
@@ -150,7 +149,7 @@ class IntelHandlerCore:
             else None
         )
         #: Per-request ids + latency/size histograms + the access log;
-        #: both transports drive it via begin_request()/finish_request().
+        #: the transport drives it via begin_request()/finish_request().
         self.telemetry = RequestTelemetry(
             self.obs,
             access_log=access_log,
@@ -323,7 +322,7 @@ class IntelHandlerCore:
                       help_text="Pre-serialized response-cache misses.",
                       ).set(responses.misses)
 
-    # -- admission bookkeeping (transports call these in order) --------------
+    # -- admission bookkeeping (the transport calls these in order) ----------
 
     @staticmethod
     def endpoint_of(path: str) -> str:
@@ -381,10 +380,10 @@ class IntelHandlerCore:
     ) -> RequestContext:
         """Open the per-request telemetry context.
 
-        Transports call this as soon as the request line and headers are
-        framed (and for *unframeable* requests, with whatever is known),
-        so even protocol-level 400/413 rejections get an id, a latency
-        observation, and an access-log error record.
+        The transport calls this as soon as the request line and headers
+        are framed (and for *unframeable* requests, with whatever is
+        known), so even protocol-level 400/413 rejections get an id, a
+        latency observation, and an access-log error record.
         """
         if endpoint is None:
             endpoint = self.endpoint_of(target)

@@ -145,10 +145,10 @@ class TestServeRequestSpans:
         import socket as _socket
 
         from repro.obs import Observability
-        from repro.serve import IntelServer
+        from repro.serve import AsyncIntelServer
 
         obs = Observability(run_id="trace-e2e")
-        server = IntelServer(obs=obs).start()  # no index: 503s still span
+        server = AsyncIntelServer(obs=obs).start()  # no index: 503s still span
         try:
             for target in ("/healthz", "/v1/address/0xabc", "/healthz"):
                 sock = _socket.create_connection(

@@ -10,6 +10,7 @@ the same number of times.
 from __future__ import annotations
 
 import urllib.request
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -109,6 +110,18 @@ class TestCircuitBreaker:
         assert breaker.state == "open"
         with pytest.raises(CircuitOpenError):
             breaker.before_call()
+
+    def test_failure_runs_are_counted_per_thread(self):
+        """Concurrent retry chains interleave their transient failures;
+        only one thread's own run of failures opens the circuit."""
+        breaker = self.make(ManualClock())
+        with ThreadPoolExecutor(max_workers=1) as other:
+            for _ in range(2):
+                breaker.record_failure()
+                other.submit(breaker.record_failure).result()
+        assert breaker.state == "closed"
+        breaker.record_failure()
+        assert breaker.state == "open"
 
     def test_half_open_trial_success_closes(self):
         clock = ManualClock()
@@ -324,6 +337,28 @@ class TestFaultInjector:
         # third attempt for the same key must be allowed through
         injector.before_call("rpc", "get_transaction", "0x1")
         assert failures == 2
+
+    def test_max_consecutive_holds_per_thread(self):
+        """Two threads fetching one key each get through by their third
+        attempt, however their calls interleave."""
+        injector = FaultInjector(FaultPlan(seed=0, rules=(
+            FaultRule(upstream="rpc", rate=1.0, max_consecutive=2),
+        )))
+
+        def attempt() -> str:
+            try:
+                injector.before_call("rpc", "get_transaction", "0x1")
+            except TransientUpstreamError:
+                return "fault"
+            return "ok"
+
+        with ThreadPoolExecutor(max_workers=1) as other:
+            outcomes = [
+                outcome
+                for _ in range(3)
+                for outcome in (attempt(), other.submit(attempt).result())
+            ]
+        assert outcomes == ["fault"] * 4 + ["ok"] * 2
 
     def test_scripted_at_calls_fire_on_exact_indices(self):
         injector = FaultInjector(FaultPlan(rules=(

@@ -1,16 +1,16 @@
-"""AsyncIntelServer: HTTP conformance, parity with the threaded server.
+"""AsyncIntelServer: HTTP conformance, parity with the handler core.
 
 The acceptance matrix for the asyncio transport:
 
-* byte-identical response bodies against the threaded server for the
-  full endpoint matrix (same fresh core, same request sequence — the
-  ``/v1/index`` body embeds cache statistics, so histories must match);
+* every status and body of the full endpoint matrix equals what a fresh
+  in-process :meth:`IntelHandlerCore.handle` returns for the same
+  request sequence (same history — the ``/v1/index`` body embeds cache
+  statistics);
 * HTTP/1.1 conformance — keep-alive reuse across 100+ requests on one
   connection, chunked verdict streaming, 400 on malformed framing, 413
   on oversized bodies, the slow-client read deadline;
-* the admission-control and hot-reload behaviors the threaded test
-  matrix pins (429 + recovery, 503 saturation, zero-drop reload under
-  concurrent load);
+* admission control and hot reload (429 + recovery, 503 saturation,
+  zero-drop reload under concurrent load);
 * :func:`preforked_sockets` binding semantics, including a real forked
   two-worker round-robin under the ``multiproc`` marker.
 
@@ -31,7 +31,7 @@ import pytest
 from repro.obs import Observability
 from repro.serve import (
     AsyncIntelServer,
-    IntelServer,
+    IntelHandlerCore,
     build_index,
     preforked_sockets,
 )
@@ -155,47 +155,40 @@ def _sequence(pipeline, intel_index):
     ]
 
 
-class TestThreadedParity:
+class TestCoreParity:
+    """The transport adds framing, never bytes: each status and body
+    equals a fresh in-process core's answer to the same request."""
+
+    @staticmethod
+    def _served_and_expected(index, requests, max_batch=4096):
+        server = AsyncIntelServer(index=index, max_batch=max_batch).start()
+        try:
+            client = RawClient(server.port)
+            served = [client.request(m, t, h, b) for m, t, h, b in requests]
+            client.close()
+        finally:
+            server.stop()
+        core = IntelHandlerCore(index=index, max_batch=max_batch)
+        expected = [
+            core.handle(m, t, body=b,
+                        if_none_match=(h or {}).get("If-None-Match"))
+            for m, t, h, b in requests
+        ]
+        return served, expected
+
     def test_full_matrix_byte_identical(self, pipeline, intel_index):
-        """Same fresh core, same request history, compare every body."""
         requests = _sequence(pipeline, intel_index)
-        responses = {}
-        for label, factory in (
-            ("async", lambda: AsyncIntelServer(index=intel_index)),
-            ("threaded", lambda: IntelServer(index=intel_index)),
-        ):
-            server = factory().start()
-            try:
-                client = RawClient(server.port)
-                responses[label] = [
-                    client.request(m, t, h, b) for m, t, h, b in requests
-                ]
-                client.close()
-            finally:
-                server.stop()
-        for (m, t, _, _), a, th in zip(
-            requests, responses["async"], responses["threaded"]
-        ):
-            assert a[0] == th[0], f"{m} {t}: status {a[0]} != {th[0]}"
-            assert a[2] == th[2], f"{m} {t}: bodies differ"
+        served, expected = self._served_and_expected(intel_index, requests)
+        for (m, t, _, _), got, want in zip(requests, served, expected):
+            assert got[0] == want.status, f"{m} {t}: status {got[0]} != {want.status}"
+            assert got[2] == want.body, f"{m} {t}: bodies differ"
 
     def test_batch_cap_parity(self, intel_index):
         batch = json.dumps({"addresses": ["0x1", "0x2", "0x3"]}).encode()
-        bodies = []
-        for factory in (
-            lambda: AsyncIntelServer(index=intel_index, max_batch=2),
-            lambda: IntelServer(index=intel_index, max_batch=2),
-        ):
-            server = factory().start()
-            try:
-                client = RawClient(server.port)
-                status, _, body = client.request("POST", "/v1/screen", None, batch)
-                client.close()
-            finally:
-                server.stop()
-            assert status == 400 and b"exceeds max 2" in body
-            bodies.append(body)
-        assert bodies[0] == bodies[1]
+        ((status, _, body),), (want,) = self._served_and_expected(
+            intel_index, [("POST", "/v1/screen", None, batch)], max_batch=2)
+        assert status == want.status == 400
+        assert b"exceeds max 2" in body and body == want.body
 
 
 class TestHTTPConformance:
@@ -361,6 +354,7 @@ class TestAdmissionControl:
             status, _, body = client.request("GET", "/healthz")
             assert status == 200
             assert json.loads(body)["index_version"] == intel_index.version
+            assert client.request("GET", "/v1/families")[0] == 200
             client.close()
         finally:
             server.stop()
@@ -368,7 +362,9 @@ class TestAdmissionControl:
 
 class TestHotReload:
     def test_hot_reload_drops_no_inflight_requests(self, pipeline, intel_index):
-        """The threaded matrix's zero-drop bar, on persistent connections."""
+        """Swap index versions repeatedly while clients hammer lookups
+        on persistent connections: every response must succeed against
+        one coherent version."""
         other = build_index(pipeline.dataset)
         assert other.version != intel_index.version
         server = AsyncIntelServer(index=intel_index).start()
@@ -417,10 +413,14 @@ class TestHotReload:
             other.save(path)
             assert server.reload(str(path)) == other.version
             assert server.index_version == other.version
+            # A corrupt file must not take the service down.
             bad = tmp_path / "bad.json"
             bad.write_text("{nope")
             assert server.reload(str(bad)) is None
             assert server.index_version == other.version
+            client = RawClient(server.port)
+            assert client.request("GET", "/healthz")[0] == 200
+            client.close()
         finally:
             server.stop()
 

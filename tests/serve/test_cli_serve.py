@@ -2,12 +2,22 @@
 
 from __future__ import annotations
 
+import argparse
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+import urllib.request
+from pathlib import Path
 
 import pytest
 
-from repro.cli import main
-from repro.serve import IntelIndex
+import repro
+from repro.cli import _obs, main
+from repro.obs import load_trace
+from repro.serve import AsyncIntelServer, IntelIndex
 
 SCALE = ["--scale", "0.005", "--seed", "7"]
 
@@ -104,7 +114,114 @@ class TestQuery:
         assert "not an intelligence index" in capsys.readouterr().err
 
 
+def _child_env() -> dict[str, str]:
+    """Environment for a ``python -m repro.cli`` child: this checkout's
+    ``src`` on the path, stdout unbuffered so the banner is readable."""
+    return {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1]),
+            "PYTHONUNBUFFERED": "1"}
+
+
+def _banner_port(proc: subprocess.Popen, log: Path, timeout: float = 10.0) -> int:
+    """The port in serve's banner: the text after ``on http://``, up to
+    the `` [`` that opens the transport label."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        text = log.read_text()
+        marker = text.find("on http://")
+        if marker >= 0 and " [" in text[marker:]:
+            address = text[marker + len("on http://"):].split(" ", 1)[0]
+            return int(address.rsplit(":", 1)[1])
+        assert proc.poll() is None, f"serve exited early: {text}"
+        time.sleep(0.01)
+    raise AssertionError(f"no serve banner within {timeout}s: {log.read_text()}")
+
+
+def _served_version(port: int) -> str | None:
+    try:
+        with urllib.request.urlopen(f"http://127.0.0.1:{port}/healthz",
+                                    timeout=2.0) as response:
+            return json.loads(response.read())["index_version"]
+    except OSError:
+        return None
+
+
+def _await_version(port: int, version: str, timeout: float = 5.0) -> None:
+    deadline = time.monotonic() + timeout
+    while _served_version(port) != version:
+        assert time.monotonic() < deadline, f"/healthz never reported {version}"
+        time.sleep(0.02)
+
+
 class TestServe:
     def test_serve_without_index_exits_1(self, capsys, tmp_path):
         assert main(["serve", "--index", str(tmp_path / "absent.json")]) == 1
         assert "no such index file" in capsys.readouterr().err
+
+    def test_serve_process_hot_reloads_and_flushes_trace_on_sigint(
+        self, index_file, intel_index, tmp_path
+    ):
+        """``serve`` as perfbench drives it: banner port, /healthz
+        version, hot reload of an atomically replaced file, and SIGINT
+        ending the process with exit 0 and its trace written."""
+        index_path = tmp_path / "index.json"
+        index_path.write_bytes(index_file.read_bytes())
+        first = IntelIndex.load(index_path).version
+        assert intel_index.version != first
+        trace = tmp_path / "serve-trace.jsonl"
+        log = tmp_path / "serve.log"
+        with open(log, "w") as out:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro.cli", "serve",
+                 "--index", str(index_path), "--port", "0",
+                 "--reload-every", "0.05", "--trace-out", str(trace)],
+                env=_child_env(), stdout=out, stderr=subprocess.STDOUT,
+                # A test run started in the background of a shell inherits
+                # an ignored SIGINT; serve must see it as perfbench does.
+                preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+            )
+        try:
+            port = _banner_port(proc, log)
+            _await_version(port, first)
+            staged = tmp_path / "index.json.next"
+            intel_index.save(staged)
+            os.replace(staged, index_path)
+            _await_version(port, intel_index.version)
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(timeout=10.0) == 0, log.read_text()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        spans = [r for r in load_trace(str(trace)) if r["name"] == "serve.request"]
+        assert spans
+        assert all(r["attrs"]["request_id"] for r in spans)
+
+    def test_import_skips_live_ops(self):
+        """``serve`` starts without loading the pipeline live-ops layer
+        (alerts, watchdog, MetricsServer) or the stdlib ``http.server``."""
+        code = ("import sys, repro.serve; print(sorted(m for m in sys.modules "
+                "if m == 'http.server' or m.startswith('repro.obs.live')))")
+        result = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "[]"
+
+
+class TestServeTracing:
+    def test_obs_records_spans_only_with_trace_out(self):
+        assert _obs(argparse.Namespace(trace_out="t.jsonl")).tracer.enabled
+        assert not _obs(argparse.Namespace(trace_out="")).tracer.enabled
+        assert not _obs(argparse.Namespace()).tracer.enabled
+
+    def test_traceless_server_retains_no_spans(self, intel_index):
+        obs = _obs(argparse.Namespace(trace_out=""))
+        server = AsyncIntelServer(index=intel_index, obs=obs).start()
+        try:
+            for target in ("/healthz", "/v1/index", "/v1/families"):
+                with urllib.request.urlopen(f"{server.url}{target}",
+                                            timeout=5.0) as response:
+                    assert response.status == 200
+        finally:
+            server.stop()
+        assert len(obs.tracer) == 0
+        assert obs.metrics.value("daas_serve_requests_total",
+                                 endpoint="/healthz") == 1

@@ -26,7 +26,7 @@ import pytest
 
 from repro.cli import main
 from repro.obs import Observability
-from repro.serve import AsyncIntelServer, IntelServer, ServeAggregator
+from repro.serve import AsyncIntelServer, ServeAggregator
 from repro.serve.fleet import (
     ServeStatusError,
     fetch_serve_status,
@@ -238,7 +238,7 @@ class TestFleetEndpoints:
         assert 'worker="0"' in text and 'worker="1"' in text
 
     def test_statusz_rejects_post(self, intel_index, tmp_path):
-        server = IntelServer(
+        server = AsyncIntelServer(
             index=intel_index, status_dir=str(tmp_path)).start()
         try:
             client = RawClient(server.port)
@@ -248,18 +248,14 @@ class TestFleetEndpoints:
         finally:
             server.stop()
 
-    def test_both_transports_write_snapshots_on_lifecycle(
-        self, intel_index, tmp_path
-    ):
-        for worker_id, transport in ((0, AsyncIntelServer), (1, IntelServer)):
-            sub = tmp_path / transport.__name__
-            server = transport(
-                index=intel_index, worker_id=worker_id, status_dir=str(sub),
-            ).start()
-            server.stop()
-            doc = json.loads((sub / f"worker-{worker_id}.json").read_text())
-            assert doc["worker"] == worker_id
-            assert doc["index_version"] == intel_index.version
+    def test_server_writes_snapshot_on_lifecycle(self, intel_index, tmp_path):
+        server = AsyncIntelServer(
+            index=intel_index, worker_id=1, status_dir=str(tmp_path),
+        ).start()
+        server.stop()
+        doc = json.loads((tmp_path / "worker-1.json").read_text())
+        assert doc["worker"] == 1
+        assert doc["index_version"] == intel_index.version
 
 
 class TestServeStatusCommand:
@@ -363,7 +359,7 @@ class TestInlineFleet:
         a = AsyncIntelServer(
             index=intel_index, obs=Observability(run_id="inline-a"),
             worker_id=0, status_dir=str(tmp_path)).start()
-        b = IntelServer(
+        b = AsyncIntelServer(
             index=intel_index, obs=Observability(run_id="inline-b"),
             worker_id=1, status_dir=str(tmp_path)).start()
         try:

@@ -19,8 +19,8 @@ from repro.api import PipelineConfig, run_pipeline
 from repro.obs import Observability
 from repro.serve import (
     SCREEN_SCHEMA_VERSION,
+    AsyncIntelServer,
     IntelIndex,
-    IntelServer,
     QueryEngine,
     build_index,
 )
@@ -154,8 +154,8 @@ class TestRiskScoreShimRemoved:
 
 @pytest.fixture()
 def fused_server(intel_index):
-    srv = IntelServer(index=intel_index,
-                      obs=Observability(run_id="fusedserve"))
+    srv = AsyncIntelServer(index=intel_index,
+                           obs=Observability(run_id="fusedserve"))
     srv.start()
     yield srv
     srv.stop()
@@ -163,8 +163,8 @@ def fused_server(intel_index):
 
 @pytest.fixture()
 def plain_server(plain_index):
-    srv = IntelServer(index=plain_index,
-                      obs=Observability(run_id="plainserve"))
+    srv = AsyncIntelServer(index=plain_index,
+                           obs=Observability(run_id="plainserve"))
     srv.start()
     yield srv
     srv.stop()

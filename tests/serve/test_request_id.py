@@ -1,4 +1,4 @@
-"""X-Request-Id conformance: every response carries one, on both transports.
+"""X-Request-Id conformance: every response carries one.
 
 The acceptance bar from the request-telemetry work: *no* response leaves
 the serve plane without an ``X-Request-Id`` — success, conditional,
@@ -14,19 +14,12 @@ from __future__ import annotations
 import json
 import socket
 
-import pytest
-
-from repro.obs import REQUEST_ID_HEADER, Observability, sanitize_request_id
-from repro.serve import AsyncIntelServer, IntelServer
+from repro.obs import REQUEST_ID_HEADER, sanitize_request_id
+from repro.serve import AsyncIntelServer
 
 from tests.serve.test_aserver import FakeClock, RawClient
 
 _HEADER = REQUEST_ID_HEADER.lower()
-
-TRANSPORTS = [
-    pytest.param(AsyncIntelServer, id="async"),
-    pytest.param(IntelServer, id="threaded"),
-]
 
 
 def _matrix(pipeline, intel_index):
@@ -49,10 +42,9 @@ def _matrix(pipeline, intel_index):
     ]
 
 
-@pytest.mark.parametrize("transport", TRANSPORTS)
 class TestEveryResponseCarriesAnId:
-    def test_full_matrix_has_ids(self, transport, pipeline, intel_index):
-        server = transport(index=intel_index).start()
+    def test_full_matrix_has_ids(self, pipeline, intel_index):
+        server = AsyncIntelServer(index=intel_index).start()
         try:
             client = RawClient(server.port)
             seen: list[str] = []
@@ -72,8 +64,8 @@ class TestEveryResponseCarriesAnId:
         finally:
             server.stop()
 
-    def test_inbound_id_echoed_verbatim(self, transport, intel_index):
-        server = transport(index=intel_index).start()
+    def test_inbound_id_echoed_verbatim(self, intel_index):
+        server = AsyncIntelServer(index=intel_index).start()
         try:
             client = RawClient(server.port)
             for inbound in ("my-id-123", "trace:a.b_c-9", "x" * 128):
@@ -88,8 +80,8 @@ class TestEveryResponseCarriesAnId:
         finally:
             server.stop()
 
-    def test_malformed_inbound_id_replaced(self, transport, intel_index):
-        server = transport(index=intel_index).start()
+    def test_malformed_inbound_id_replaced(self, intel_index):
+        server = AsyncIntelServer(index=intel_index).start()
         try:
             client = RawClient(server.port)
             for bad in ("has spaces", "x" * 129, "semi;colon", "utéf"):
@@ -101,8 +93,8 @@ class TestEveryResponseCarriesAnId:
         finally:
             server.stop()
 
-    def test_503_no_index_has_id(self, transport):
-        server = transport().start()
+    def test_503_no_index_has_id(self):
+        server = AsyncIntelServer().start()
         try:
             client = RawClient(server.port)
             status, headers, _ = client.request("GET", "/v1/address/0xabc")
@@ -114,8 +106,8 @@ class TestEveryResponseCarriesAnId:
         finally:
             server.stop()
 
-    def test_429_rate_limited_has_id(self, transport, intel_index):
-        server = transport(
+    def test_429_rate_limited_has_id(self, intel_index):
+        server = AsyncIntelServer(
             index=intel_index, rate_limit=1.0, burst=1.0, clock=FakeClock(),
         ).start()
         try:
@@ -128,8 +120,8 @@ class TestEveryResponseCarriesAnId:
         finally:
             server.stop()
 
-    def test_413_oversized_has_id(self, transport, intel_index):
-        server = transport(index=intel_index, max_body_bytes=64).start()
+    def test_413_oversized_has_id(self, intel_index):
+        server = AsyncIntelServer(index=intel_index, max_body_bytes=64).start()
         try:
             client = RawClient(server.port)
             status, headers, _ = client.request(
@@ -141,10 +133,8 @@ class TestEveryResponseCarriesAnId:
 
 
 class TestAsyncFramingRejections:
-    """Protocol-level 400s never reach the handler core, but the async
-    transport still stamps them (the threaded transport delegates its
-    request-line parsing to ``http.server``, so only body-level framing
-    is covered there — see the 413/400 cases above)."""
+    """Protocol-level 400s and 413s never reach the handler core, but
+    the transport still stamps them."""
 
     def test_bad_request_line_400_has_id(self, intel_index):
         server = AsyncIntelServer(index=intel_index).start()

@@ -1,16 +1,15 @@
-"""The /v1 HTTP service: endpoints, admission control, hot reload.
+"""The /v1 HTTP service's endpoints, through a stock HTTP client.
 
-Covers the ISSUE acceptance paths: every operator/affiliate/contract in
-the fixture dataset answers with the correct role and family, the error
-surface (404 unknown entity, 405 wrong method, 400 bad batch, 429 rate
-limit, 503 no-index/saturated) behaves, conditional requests hit 304,
-and a hot reload under concurrent load drops zero in-flight requests.
+Every operator/affiliate/contract in the fixture dataset answers with
+the correct role and family, the error surface (404 unknown entity, 405
+wrong method, 400 bad batch) behaves, conditional requests hit 304, and
+requests are counted.  Admission control (429, 503) and hot reload are
+pinned in ``test_aserver.py``.
 """
 
 from __future__ import annotations
 
 import json
-import threading
 import urllib.error
 import urllib.request
 from urllib.parse import quote
@@ -18,18 +17,7 @@ from urllib.parse import quote
 import pytest
 
 from repro.obs import Observability
-from repro.serve import IntelServer, build_index
-
-
-class FakeClock:
-    def __init__(self, now: float = 1000.0) -> None:
-        self.now = now
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
+from repro.serve import AsyncIntelServer, build_index
 
 
 def get(url: str, headers: dict | None = None):
@@ -55,7 +43,8 @@ def post(url: str, doc, headers: dict | None = None):
 
 @pytest.fixture()
 def server(intel_index):
-    srv = IntelServer(index=intel_index, obs=Observability(run_id="servetest"))
+    srv = AsyncIntelServer(index=intel_index,
+                           obs=Observability(run_id="servetest"))
     srv.start()
     yield srv
     srv.stop()
@@ -156,7 +145,7 @@ class TestOtherEndpoints:
         assert code == 400
 
     def test_screen_batch_cap(self, intel_index):
-        server = IntelServer(index=intel_index, max_batch=2).start()
+        server = AsyncIntelServer(index=intel_index, max_batch=2).start()
         try:
             code, body, _ = post(f"{server.url}/v1/screen",
                                  {"addresses": ["0x1", "0x2", "0x3"]})
@@ -174,124 +163,10 @@ class TestOtherEndpoints:
         assert "endpoints" in json.loads(body)
 
 
-class TestAdmissionControl:
-    def test_rate_limit_429_and_recovery(self, intel_index):
-        clock = FakeClock()
-        server = IntelServer(
-            index=intel_index, rate_limit=1.0, burst=2.0, clock=clock,
-        ).start()
-        try:
-            url = f"{server.url}/healthz"
-            headers = {"X-Client-Id": "wallet-a"}
-            assert get(url, headers)[0] == 200
-            assert get(url, headers)[0] == 200
-            code, body, response_headers = get(url, headers)
-            assert code == 429
-            assert int(response_headers["Retry-After"]) >= 1
-            assert "retry_after_s" in json.loads(body)
-            # An unrelated client has its own bucket.
-            assert get(url, {"X-Client-Id": "wallet-b"})[0] == 200
-            clock.advance(5.0)
-            assert get(url, headers)[0] == 200
-        finally:
-            server.stop()
-
-    def test_concurrency_gate_503(self, intel_index):
-        server = IntelServer(
-            index=intel_index, max_concurrency=1, busy_timeout_s=0.01,
-        ).start()
-        try:
-            assert server._gate.acquire(timeout=1.0)  # saturate the gate
-            try:
-                code, body, _ = get(f"{server.url}/v1/index")
-                assert code == 503
-                assert "saturated" in json.loads(body)["error"]
-            finally:
-                server._gate.release()
-            assert get(f"{server.url}/v1/index")[0] == 200
-        finally:
-            server.stop()
-
-    def test_no_index_503_until_loaded(self, intel_index):
-        server = IntelServer(obs=Observability(run_id="noindex")).start()
-        try:
-            code, body, _ = get(f"{server.url}/healthz")
-            assert code == 503 and json.loads(body)["status"] == "no-index"
-            code, body, _ = get(f"{server.url}/v1/address/0xabc")
-            assert code == 503
-            assert "no intelligence index" in json.loads(body)["error"]
-            server.load_index(intel_index)
-            code, body, _ = get(f"{server.url}/healthz")
-            assert code == 200
-            assert json.loads(body)["index_version"] == intel_index.version
-            assert get(f"{server.url}/v1/families")[0] == 200
-        finally:
-            server.stop()
-
-
-class TestHotReload:
-    def test_hot_reload_drops_no_inflight_requests(self, pipeline, intel_index):
-        """Swap index versions repeatedly while clients hammer lookups:
-        every response must succeed against one coherent version."""
-        other = build_index(pipeline.dataset)  # different version (no families)
-        assert other.version != intel_index.version
-        server = IntelServer(index=intel_index).start()
-        addresses = sorted(pipeline.dataset.contracts)[:8]
-        versions = {intel_index.version, other.version}
-        failures: list = []
-        stop = threading.Event()
-
-        def hammer() -> None:
-            i = 0
-            while not stop.is_set():
-                address = addresses[i % len(addresses)]
-                try:
-                    code, _, headers = get(f"{server.url}/v1/address/{address}")
-                except Exception as exc:  # noqa: BLE001 - any failure counts
-                    failures.append(repr(exc))
-                    continue
-                if code != 200 or headers["X-Index-Version"] not in versions:
-                    failures.append((code, headers.get("X-Index-Version")))
-                i += 1
-
-        workers = [threading.Thread(target=hammer) for _ in range(4)]
-        for worker in workers:
-            worker.start()
-        try:
-            for flip in range(6):
-                server.load_index(other if flip % 2 == 0 else intel_index)
-        finally:
-            stop.set()
-            for worker in workers:
-                worker.join(timeout=10.0)
-            server.stop()
-        assert failures == []
-
-    def test_reload_from_file_and_bad_file_keeps_serving(
-        self, pipeline, intel_index, tmp_path
-    ):
-        server = IntelServer(index=intel_index,
-                             obs=Observability(run_id="reload")).start()
-        try:
-            other = build_index(pipeline.dataset)
-            path = tmp_path / "next.json"
-            other.save(path)
-            assert server.reload(str(path)) == other.version
-            assert server.index_version == other.version
-            # A corrupt file must not take the service down.
-            bad = tmp_path / "bad.json"
-            bad.write_text("{nope")
-            assert server.reload(str(bad)) is None
-            assert server.index_version == other.version
-            assert get(f"{server.url}/healthz")[0] == 200
-        finally:
-            server.stop()
-
-
 class TestObservability:
     def test_requests_and_latency_are_counted(self, intel_index):
         obs = Observability(run_id="metrics")
-        server = IntelServer(index=intel_index, obs=obs).start()
+        server = AsyncIntelServer(index=intel_index, obs=obs).start()
         try:
             get(f"{server.url}/healthz")
             get(f"{server.url}/v1/index")

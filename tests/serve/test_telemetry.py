@@ -2,10 +2,10 @@
 
 The cardinal invariant of ``repro.obs`` extended to the serve plane:
 request telemetry (ids, latency/size histograms, the access log) must
-never perturb a response *body*.  Both transports replay the full
+never perturb a response *body*.  The server replays the full
 endpoint matrix with telemetry fully on (access log sampling every
 request, aggressive slow threshold) and fully off (disabled registry,
-no access log) and compare bodies byte-for-byte.
+no access log) and the bodies are compared byte-for-byte.
 
 The access log's capture rules are pinned here too: ``sample=N`` writes
 every Nth request, ``sample=0`` writes none — except slow or errored
@@ -16,17 +16,10 @@ from __future__ import annotations
 
 import json
 
-import pytest
-
 from repro.obs import AccessLog, Observability, RequestTelemetry
-from repro.serve import AsyncIntelServer, IntelServer
+from repro.serve import AsyncIntelServer
 
 from tests.serve.test_aserver import RawClient
-
-TRANSPORTS = [
-    pytest.param(AsyncIntelServer, id="async"),
-    pytest.param(IntelServer, id="threaded"),
-]
 
 
 def _matrix(pipeline, intel_index):
@@ -62,15 +55,15 @@ def _drive(server, requests):
         server.stop()
 
 
-@pytest.mark.parametrize("transport", TRANSPORTS)
 def test_bodies_byte_identical_with_telemetry_on_and_off(
-    transport, pipeline, intel_index, tmp_path
+    pipeline, intel_index, tmp_path
 ):
     requests = _matrix(pipeline, intel_index)
     off = _drive(
-        transport(index=intel_index, obs=Observability.disabled()), requests)
+        AsyncIntelServer(index=intel_index, obs=Observability.disabled()),
+        requests)
     on = _drive(
-        transport(
+        AsyncIntelServer(
             index=intel_index,
             obs=Observability(run_id="telemetry-on"),
             access_log_path=str(tmp_path / "access.jsonl"),
@@ -84,10 +77,9 @@ def test_bodies_byte_identical_with_telemetry_on_and_off(
         assert a[2] == b[2], f"{method} {target}: body differs"
 
 
-@pytest.mark.parametrize("transport", TRANSPORTS)
-def test_latency_and_size_histograms_labeled(transport, pipeline, intel_index):
+def test_latency_and_size_histograms_labeled(pipeline, intel_index):
     obs = Observability(run_id="histo")
-    server = transport(index=intel_index, obs=obs).start()
+    server = AsyncIntelServer(index=intel_index, obs=obs).start()
     try:
         known = sorted(pipeline.dataset.contracts)[0]
         client = RawClient(server.port)
@@ -200,7 +192,7 @@ class TestAccessLog:
 
     def test_record_fields(self, intel_index, tmp_path):
         path = tmp_path / "access.jsonl"
-        server = IntelServer(
+        server = AsyncIntelServer(
             index=intel_index, obs=Observability(run_id="fields"),
             access_log_path=str(path), access_log_sample=1,
         ).start()
