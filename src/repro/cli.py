@@ -1172,8 +1172,10 @@ def main(argv: list[str] | None = None) -> int:
                    help="request-body byte cap; larger POSTs get 413 "
                         "(default 1048576)")
     p.add_argument("--read-timeout", type=float, default=30.0, metavar="SECS",
-                   help="async transport's per-read deadline; slow or "
-                        "idle clients are disconnected (default 30)")
+                   help="per-request deadline: a client whose next "
+                        "request (head and body) has not fully arrived "
+                        "this long after the connection opened or its "
+                        "previous answer is disconnected (default 30)")
     p.add_argument("--access-log", default="", metavar="FILE",
                    help="append a structured JSONL access log here "
                         "(per-worker files get a .wN suffix under "

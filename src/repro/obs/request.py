@@ -11,8 +11,9 @@ Three concerns of the HTTP transport, factored out of it:
   stored id would replay on every cache hit;
 * **request accounting** — one :class:`RequestContext` per request
   records ``daas_serve_request_seconds{endpoint,status}`` plus
-  request/response byte-size histograms, with instrument handles cached
-  per ``(endpoint, status)`` so the hot path is one dict lookup;
+  request/response byte-size histograms, with the three instrument
+  handles cached together per ``(endpoint, status)`` so the hot path
+  is one dict lookup;
 * **the access log** — :class:`AccessLog`, a sampled structured JSONL
   stream (``--access-log`` / ``--access-log-sample N``): every Nth
   request is written in full, and slow requests (over
@@ -210,10 +211,10 @@ class RequestContext:
 class RequestTelemetry:
     """The serve plane's per-request instrument panel.
 
-    One per :class:`~repro.serve.handler.IntelHandlerCore`; both
-    transports drive it through ``begin()``/``finish()``.  Histogram
-    handles are resolved lazily and memoized per label set, so steady
-    traffic pays a dict hit, not a registry lock.
+    One per :class:`~repro.serve.handler.IntelHandlerCore`; the
+    transport drives it through ``begin()``/``finish()``.  Histogram
+    handles are resolved lazily and memoized per ``(endpoint, status)``,
+    so steady traffic pays one dict hit, not a registry lock.
     """
 
     def __init__(
@@ -228,13 +229,12 @@ class RequestTelemetry:
         self.slow_request_s = max(0.0, slow_request_ms) / 1000.0
         self.worker_id = worker_id
         self._ids = itertools.count(1)
-        self._id_prefix = f"{os.getpid():x}.{worker_id:x}"
-        self._latency: dict[tuple[str, int], Any] = {}
-        self._bytes_in: dict[str, Any] = {}
-        self._bytes_out: dict[str, Any] = {}
+        self._id_prefix = f"req-{os.getpid():x}.{worker_id:x}-"
+        #: (endpoint, status) -> (latency, request bytes, response bytes).
+        self._histograms: dict[tuple[str, int], tuple[Any, Any, Any]] = {}
 
     def new_request_id(self) -> str:
-        return f"req-{self._id_prefix}-{next(self._ids):x}"
+        return f"{self._id_prefix}{next(self._ids):x}"
 
     def begin(
         self,
@@ -245,7 +245,7 @@ class RequestTelemetry:
         request_id: str | None = None,
         bytes_in: int = 0,
     ) -> RequestContext:
-        rid = sanitize_request_id(request_id)
+        rid = sanitize_request_id(request_id) if request_id else None
         inbound = rid is not None
         return RequestContext(
             telemetry=self,
@@ -264,42 +264,40 @@ class RequestTelemetry:
 
     # -- recording (via RequestContext.finish) -------------------------------
 
-    def _latency_for(self, endpoint: str, status: int) -> Any:
-        key = (endpoint, status)
-        hist = self._latency.get(key)
-        if hist is None:
-            hist = self._latency[key] = self.obs.metrics.histogram(
+    def _histograms_for(self, endpoint: str, status: int) -> tuple[Any, Any, Any]:
+        metrics = self.obs.metrics
+        hists = self._histograms[(endpoint, status)] = (
+            metrics.histogram(
                 "daas_serve_request_seconds",
                 buckets=SERVE_LATENCY_BUCKETS,
                 help_text="Query-service request latency, by endpoint and status.",
                 endpoint=endpoint,
                 status=str(status),
-            )
-        return hist
-
-    def _sizes_for(self, endpoint: str) -> tuple[Any, Any]:
-        hist_in = self._bytes_in.get(endpoint)
-        if hist_in is None:
-            hist_in = self._bytes_in[endpoint] = self.obs.metrics.histogram(
+            ),
+            metrics.histogram(
                 "daas_serve_request_bytes",
                 buckets=SERVE_SIZE_BUCKETS,
                 help_text="Request body sizes, by endpoint.",
                 endpoint=endpoint,
-            )
-            self._bytes_out[endpoint] = self.obs.metrics.histogram(
+            ),
+            metrics.histogram(
                 "daas_serve_response_bytes",
                 buckets=SERVE_SIZE_BUCKETS,
                 help_text="Response body sizes, by endpoint.",
                 endpoint=endpoint,
-            )
-        return hist_in, self._bytes_out[endpoint]
+            ),
+        )
+        return hists
 
     def _observe(self, ctx: RequestContext, response: Any) -> None:
         seconds = time.perf_counter() - ctx.started
         status = int(getattr(response, "status", 0))
         bytes_out = len(getattr(response, "body", b""))
-        self._latency_for(ctx.endpoint, status).observe(seconds)
-        hist_in, hist_out = self._sizes_for(ctx.endpoint)
+        hists = self._histograms.get((ctx.endpoint, status))
+        if hists is None:
+            hists = self._histograms_for(ctx.endpoint, status)
+        latency, hist_in, hist_out = hists
+        latency.observe(seconds)
         hist_in.observe(ctx.bytes_in)
         hist_out.observe(bytes_out)
         log = self.access_log

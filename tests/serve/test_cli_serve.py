@@ -6,6 +6,7 @@ import argparse
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -195,6 +196,48 @@ class TestServe:
         spans = [r for r in load_trace(str(trace)) if r["name"] == "serve.request"]
         assert spans
         assert all(r["attrs"]["request_id"] for r in spans)
+
+    def test_serve_process_sigint_closes_open_connections(
+        self, index_file, tmp_path
+    ):
+        """SIGINT with an idle keep-alive connection and a half-sent
+        request open: exit 0 promptly, and both clients read EOF."""
+        log = tmp_path / "serve.log"
+        with open(log, "w") as out:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro.cli", "serve",
+                 "--index", str(index_file), "--port", "0"],
+                env=_child_env(), stdout=out, stderr=subprocess.STDOUT,
+                preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+            )
+        clients: list[socket.socket] = []
+        try:
+            port = _banner_port(proc, log)
+            idle = socket.create_connection(("127.0.0.1", port), timeout=10.0)
+            clients.append(idle)
+            idle.sendall(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+            answer = b""
+            while b"\r\n\r\n" not in answer:
+                answer += idle.recv(65536)
+            head, _, body = answer.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 200")
+            length = int(head.split(b"Content-Length: ")[1].split(b"\r\n")[0])
+            while len(body) < length:
+                body += idle.recv(65536)
+            half = socket.create_connection(("127.0.0.1", port), timeout=10.0)
+            clients.append(half)
+            half.sendall(b"GET /healthz HTTP/1.1\r\nHost: t\r\n")
+            time.sleep(0.2)
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(timeout=10.0) == 0, log.read_text()
+            assert idle.recv(65536) == b""
+            assert half.recv(65536) == b""
+        finally:
+            for client in clients:
+                client.close()
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
 
     def test_import_skips_live_ops(self):
         """``serve`` starts without loading the pipeline live-ops layer
