@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.obs import AccessLog, Observability, RequestTelemetry
-from repro.serve import AsyncIntelServer
+from repro.serve import AsyncIntelServer, IntelHandlerCore
 
 from tests.serve.test_aserver import RawClient
 
@@ -235,3 +237,34 @@ class TestAccessLog:
         log.close()
         assert written == 3
         assert len(path.read_text().splitlines()) == 3
+
+
+@pytest.mark.parametrize("target, label", [
+    ("/healthz", "/healthz"),
+    ("/healthz/", "/healthz"),
+    ("/statusz?x=1", "/statusz"),
+    ("/metrics", "/metrics"),
+    ("/v1/address/0xabc", "/v1/address"),
+    ("/v1/address?batch=0xa,0xb", "/v1/address"),
+    ("/v1/address/", "/v1/address"),
+    ("/v1/domain/a.example/", "/v1/domain"),
+    ("/v1/screen?stream=1", "/v1/screen"),
+    ("/v1/families", "/v1/families"),
+    ("/v1/index", "/v1/index"),
+    ("x/v1/address", "/v1/address"),
+    ("/v1/nope", "other"),
+    ("/v1/healthz", "other"),
+    ("/v1", "other"),
+    ("/v1/", "other"),
+    ("/v1//address", "other"),
+    ("/v2/address", "other"),
+    ("/healthz/x", "other"),
+    ("//healthz", "other"),
+    ("/", "other"),
+    ("*", "other"),
+    ("", "other"),
+])
+def test_endpoint_label(target, label):
+    """The ``endpoint`` label every request metric and access-log record
+    carries: a known route, or ``other`` so labels stay bounded."""
+    assert IntelHandlerCore.endpoint_of(target) == label
