@@ -12,9 +12,10 @@ Verifies, for ``README.md`` and every ``docs/*.md``:
    punctuation stripped, spaces to dashes, duplicate slugs suffixed
    ``-1``, ``-2``, …);
 3. every ``--flag`` named on a ``daas-repro`` command line (including
-   backslash-continued lines) exists as an ``add_argument`` flag in
+   backslash-continued lines) or in the first cell of a markdown table
+   row (the flag tables) exists as an ``add_argument`` flag in
    ``src/repro/cli.py`` — so the docs cannot drift ahead of or behind
-   the CLI;
+   the CLI, and a deleted flag cannot leave its table row behind;
 4. the query-service route inventory matches both ways: every route
    string literal in ``src/repro/serve/*.py`` appears in
    ``docs/serving.md``, and every ``/v1/...``, ``/healthz``,
@@ -109,9 +110,17 @@ def _daas_command_lines(text: str):
             continued = False
 
 
+def _table_first_cells(text: str):
+    """The first cell of every markdown table row."""
+    for line in text.splitlines():
+        if line.startswith("|"):
+            yield line.split("|", 2)[1]
+
+
 def check_flags(path: Path, known: set[str], root: Path = REPO_ROOT) -> list[str]:
     errors = []
-    for line in _daas_command_lines(path.read_text()):
+    text = path.read_text()
+    for line in (*_daas_command_lines(text), *_table_first_cells(text)):
         for flag in _FLAG_RE.findall(line):
             if flag not in known:
                 errors.append(

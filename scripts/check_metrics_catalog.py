@@ -15,6 +15,13 @@ undocumented.  Dynamically-built names (f-strings like
 ``f"daas_cache_{field}"``) are out of scope; only string literals are
 checked.
 
+The reverse holds too: every ``daas_*`` name that opens a row of the
+catalogue must appear in a string literal under ``src/repro`` (any
+literal: ``CircuitBreaker`` passes its names to ``self._count``), or
+start with the literal prefix of an f-string name (``daas_cache_``
+covers ``daas_cache_hits``) — so a deleted instrument cannot leave its
+row behind.
+
 Run directly (``python scripts/check_metrics_catalog.py``, exits
 non-zero on problems) or through ``tests/test_metrics_catalog.py``,
 which wires it into the default pytest run next to ``check_docs.py``.
@@ -45,6 +52,9 @@ _ACCESS_EVENT_RE = re.compile(
 #: batch pipeline's spans remain free-form.
 _SPAN_RE = re.compile(r"""\.span\(\s*["']([a-z][a-z0-9_.]*)["']""")
 _SPAN_SCOPE = ("src", "repro", "stream")
+_CATALOGUE_ROW_RE = re.compile(r"^\|\s*`(daas_[a-z0-9_]+)`", re.MULTILINE)
+_NAME_LITERAL_RE = re.compile(r"""["'](daas_[a-z0-9_]+)["']""")
+_NAME_PREFIX_RE = re.compile(r"""\bf["'](daas_[a-z0-9_]*)\{""")
 
 
 def source_files(root: Path = REPO_ROOT) -> list[Path]:
@@ -75,6 +85,20 @@ def catalogue_text(root: Path = REPO_ROOT) -> str:
     return (root / "docs" / "observability.md").read_text()
 
 
+def stale_rows(catalogue: str, root: Path = REPO_ROOT) -> list[str]:
+    """Catalogue rows whose ``daas_*`` name no source file can emit."""
+    literals: set[str] = set()
+    prefixes: set[str] = set()
+    for path in source_files(root):
+        text = path.read_text()
+        literals.update(_NAME_LITERAL_RE.findall(text))
+        prefixes.update(_NAME_PREFIX_RE.findall(text))
+    return sorted(
+        name for name in set(_CATALOGUE_ROW_RE.findall(catalogue))
+        if name not in literals and not name.startswith(tuple(prefixes))
+    )
+
+
 def run_checks(root: Path = REPO_ROOT) -> list[str]:
     names = emitted_names(root)
     try:
@@ -89,6 +113,11 @@ def run_checks(root: Path = REPO_ROOT) -> list[str]:
                     f"{kind[:-1]} {name!r} (emitted in {', '.join(sorted(sources))}) "
                     "is not catalogued in docs/observability.md"
                 )
+    for name in stale_rows(catalogue, root):
+        errors.append(
+            f"docs/observability.md catalogues {name!r}, which no "
+            "src/repro module emits"
+        )
     return errors
 
 

@@ -14,17 +14,10 @@ One :class:`PipelineConfig` carries every knob: world parameters,
 engine/worker/cache selection, observability, and the fault-tolerance
 options (retry policy, fault plan, checkpoint/resume) described in
 ``docs/reliability.md``.
-
-Deprecated surface, kept for one release: calling ``run_pipeline`` with
-loose keyword arguments (``scale=…``, ``seed=…``, ``params=…``,
-``world=…``, ``engine=…``) still works but emits a
-``DeprecationWarning``; so does unpacking :func:`build_dataset`'s result
-as the old 5-tuple.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -152,11 +145,7 @@ class PipelineConfig:
 
 @dataclass
 class DatasetBuildResult:
-    """Everything dataset construction (paper §5) produces.
-
-    Prefer the named fields; unpacking as the pre-PR-4 5-tuple still
-    works through :meth:`__iter__` but is deprecated.
-    """
+    """Everything dataset construction (paper §5) produces."""
 
     dataset: DaaSDataset
     seed_report: SeedReport
@@ -165,22 +154,6 @@ class DatasetBuildResult:
     seed_summary: dict[str, int]
     #: Checkpoint/resume bookkeeping; ``None`` when checkpointing is off.
     resume_info: ResumeInfo | None = None
-
-    def __iter__(self):
-        warnings.warn(
-            "unpacking build_dataset() as a tuple is deprecated; use the "
-            "DatasetBuildResult fields (.dataset, .seed_report, "
-            ".expansion_report, .analyzer, .seed_summary) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return iter((
-            self.dataset,
-            self.seed_report,
-            self.expansion_report,
-            self.analyzer,
-            self.seed_summary,
-        ))
 
 
 @dataclass
@@ -355,46 +328,15 @@ def _build_dataset(
     )
 
 
-_LEGACY_KWARGS = ("params", "scale", "seed", "world", "engine")
-
-
-def _coerce_config(config, legacy: dict) -> PipelineConfig:
-    """Fold the pre-PR-4 loose-kwarg surface into a :class:`PipelineConfig`."""
-    if isinstance(config, SimulationParams):
-        warnings.warn(
-            "run_pipeline(params) is deprecated; pass "
-            "PipelineConfig(params=...) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        config = PipelineConfig(params=config)
-    elif config is None:
+def run_pipeline(config: PipelineConfig | None = None) -> PipelineResult:
+    """Build (or reuse) a world and run dataset construction + measurement."""
+    if config is None:
         config = PipelineConfig()
     elif not isinstance(config, PipelineConfig):
         raise TypeError(
-            "run_pipeline() expects a PipelineConfig (or a legacy "
-            f"SimulationParams), got {type(config).__name__}"
+            "run_pipeline() expects a PipelineConfig, got "
+            f"{type(config).__name__}"
         )
-    if legacy:
-        unknown = set(legacy) - set(_LEGACY_KWARGS)
-        if unknown:
-            raise TypeError(
-                f"run_pipeline() got unexpected keyword arguments: {sorted(unknown)}"
-            )
-        warnings.warn(
-            f"run_pipeline keyword arguments {sorted(legacy)} are deprecated; "
-            "set the corresponding PipelineConfig fields instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        for name, value in legacy.items():
-            setattr(config, name, value)
-    return config
-
-
-def run_pipeline(config: PipelineConfig | None = None, **legacy) -> PipelineResult:
-    """Build (or reuse) a world and run dataset construction + measurement."""
-    config = _coerce_config(config, legacy)
     world = config.resolved_world()
     engine = config.make_engine()
 

@@ -817,7 +817,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
             sockets = [socket.create_server((args.host, args.port))]
             port = sockets[0].getsockname()[1]
         else:
-            sockets, port = preforked_sockets(args.host, args.port, workers)
+            listeners = preforked_sockets(args.host, args.port, workers)
+            sockets, port = listeners.sockets, listeners.port
     except OSError as exc:
         print(f"cannot bind {args.host}:{args.port}: {exc}", file=sys.stderr)
         return 1
@@ -887,7 +888,6 @@ def _serve_worker(
         host=args.host,
         rate_limit=args.rate_limit,
         burst=args.burst,
-        max_concurrency=args.max_concurrency,
         max_batch=args.max_batch,
         max_body_bytes=args.max_body_bytes,
         read_timeout_s=args.read_timeout,
@@ -1155,9 +1155,6 @@ def main(argv: list[str] | None = None) -> int:
                         "(0 = unlimited)")
     p.add_argument("--burst", type=float, default=None, metavar="N",
                    help="token-bucket burst size (default: max(1, rate))")
-    p.add_argument("--max-concurrency", type=int, default=64, metavar="N",
-                   help="in-flight request ceiling; excess gets 503 "
-                        "(default 64)")
     p.add_argument("--reload-every", type=float, default=0.0, metavar="SECS",
                    help="watch the --index file and hot-reload it on "
                         "change, without dropping in-flight requests "

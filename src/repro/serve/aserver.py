@@ -17,9 +17,11 @@ and no extra event-loop iteration.
 
 * framing: a request line over ``\n``-terminated header lines (CRLF or
   bare LF), then ``Content-Length`` body bytes.  Unparseable framing
-  answers ``400`` and closes, as soon as the bad line has arrived.  A
-  head over 32 KiB answers ``400`` "headers too large", also when no
-  head terminator has arrived yet.  A ``Content-Length`` over
+  answers ``400`` and closes, as soon as the bad line has arrived; so
+  does a ``Content-Length`` that is not plain ASCII digits or that
+  repeats with another value, once the head has ended.  A head over
+  32 KiB answers ``400`` "headers too large", also when no head
+  terminator has arrived yet.  A ``Content-Length`` over
   ``max_body_bytes`` answers ``413`` and closes (the body is never
   read);
 * one deadline per request (``read_timeout_s``): a client whose next
@@ -38,11 +40,8 @@ and no extra event-loop iteration.
   screening verdicts) so connections stay reusable; ``Connection:
   close`` is honored both ways.
 
-Admission control: request counter, per-client token bucket (``429`` +
-``Retry-After``), then a bounded concurrency gate (``503`` after
-``busy_timeout_s``).  ``handle`` is synchronous, so a request takes a
-free gate without suspending; only a gate held elsewhere makes a
-request wait, in a task of its own.  Hot reload is the zero-drop
+Admission control: request counter, then a per-client token bucket
+(``429`` + ``Retry-After``).  Hot reload is the zero-drop
 :meth:`~repro.serve.handler.IntelHandlerCore.reload`.
 
 For multi-core boxes, :func:`preforked_sockets` binds N ``SO_REUSEPORT``
@@ -84,10 +83,6 @@ class PreforkedListeners:
 
     sockets: tuple[socket.socket, ...]
     port: int
-
-    def __iter__(self):
-        # Allows ``sockets, port = preforked_sockets(...)`` unpacking.
-        return iter((list(self.sockets), self.port))
 
     def close(self) -> None:
         for sock in self.sockets:
@@ -145,12 +140,10 @@ class AsyncIntelServer:
         port: int = 0,
         rate_limit: float = 0.0,
         burst: float | None = None,
-        max_concurrency: int = 64,
         max_batch: int = 4096,
         cache_size: int = 4096,
         max_body_bytes: int = 1 << 20,
         reload_timeout_s: float = 30.0,
-        busy_timeout_s: float = 0.5,
         read_timeout_s: float = 30.0,
         clock=time.monotonic,
         access_log_path: str | None = None,
@@ -165,7 +158,6 @@ class AsyncIntelServer:
             obs=obs,
             rate_limit=rate_limit,
             burst=burst,
-            max_concurrency=max_concurrency,
             max_batch=max_batch,
             cache_size=cache_size,
             max_body_bytes=max_body_bytes,
@@ -179,12 +171,9 @@ class AsyncIntelServer:
         )
         self.host = host
         self.requested_port = port
-        self.max_concurrency = max_concurrency
         self.max_batch = max_batch
-        self.busy_timeout_s = busy_timeout_s
         self.read_timeout_s = read_timeout_s
         self.status_every_s = status_every_s
-        self._gate: asyncio.BoundedSemaphore | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._stop: asyncio.Event | None = None
         self._thread: threading.Thread | None = None
@@ -263,7 +252,6 @@ class AsyncIntelServer:
         """
         self._loop = asyncio.get_running_loop()
         self._stop = asyncio.Event()
-        self._gate = asyncio.BoundedSemaphore(self.max_concurrency)
         if sock is not None:
             server = await self._loop.create_server(
                 lambda: _Connection(self), sock=sock)
@@ -365,19 +353,6 @@ class AsyncIntelServer:
             await asyncio.to_thread(self.core.write_status_snapshot)
 
 
-def _acquire_now(gate: asyncio.Semaphore) -> bool:
-    """Take ``gate`` without suspending; ``False`` when it is held."""
-    if gate.locked():
-        return False
-    # On a free semaphore acquire() returns before its first await, so
-    # one send() runs the coroutine to completion.
-    try:
-        gate.acquire().send(None)
-    except StopIteration:
-        return True
-    raise RuntimeError("acquire() suspended on a free semaphore")
-
-
 def _split_request_line(line: str) -> list[str] | None:
     """``[method, target, http_version]``, or ``None`` when malformed."""
     parts = line.rstrip("\r").split(" ")
@@ -394,7 +369,8 @@ def _parse_head(head: bytes | bytearray):
     that ends the head or through a bad line that arrived before it.
     The checks run in the order a line reader meets them: the request
     line, then per header line the running byte total against
-    :data:`_MAX_HEADER_BYTES`, the blank line, the colon.  ``error`` is
+    :data:`_MAX_HEADER_BYTES`, the blank line, the colon, and a
+    ``Content-Length`` that repeats with another value.  ``error`` is
     the 400 reason or ``None``; on a reject, ``method``, ``target`` and
     ``headers`` hold what was parsed before it.  A head that ends
     without a blank line or a bad line is too large: the caller passes
@@ -418,7 +394,10 @@ def _parse_head(head: bytes | bytearray):
         name, sep, value = line.partition(":")
         if not sep:
             return method, target, version, headers, "bad header line"
-        headers[name.strip().lower()] = value.strip()
+        name, value = name.strip().lower(), value.strip()
+        if name == "content-length" and headers.get(name, value) != value:
+            return method, target, version, headers, "bad Content-Length"
+        headers[name] = value
     return method, target, version, headers, "headers too large"
 
 
@@ -465,9 +444,8 @@ class _Connection(asyncio.Protocol):
     completed it, or over several loop turns for a deep pipeline.
 
     Answering stops while the answer cannot go on: while the transport's
-    send buffer is over its high-water mark (``pause_writing``), while
-    a request waits for a held gate in :meth:`_await_gate`, and for one
-    loop turn after :data:`_ANSWERS_PER_TURN` answers.  Reading is
+    send buffer is over its high-water mark (``pause_writing``), and for
+    one loop turn after :data:`_ANSWERS_PER_TURN` answers.  Reading is
     paused for as long, so the buffer holds at most what arrived before,
     and a client's EOF is only seen once every complete request before
     it is answered; the connection then closes after its answers flush
@@ -487,7 +465,6 @@ class _Connection(asyncio.Protocol):
         #: Loop time by which the next request must have fully arrived.
         self.deadline = 0.0
         self.timer: asyncio.TimerHandle | None = None
-        self.waiting: asyncio.Task | None = None
         self.writes_paused = False
 
     # -- asyncio.Protocol ------------------------------------------------------
@@ -510,8 +487,6 @@ class _Connection(asyncio.Protocol):
         if self.timer is not None:
             self.timer.cancel()
             self.timer = None
-        if self.waiting is not None:
-            self.waiting.cancel()
 
     def data_received(self, data: bytes) -> None:
         self.buffer += data
@@ -527,11 +502,8 @@ class _Connection(asyncio.Protocol):
 
     # -- the request pipeline --------------------------------------------------
 
-    def _stalled(self) -> bool:
-        return self.writes_paused or self.waiting is not None
-
     def _resume(self) -> None:
-        if self._stalled() or self.transport.is_closing():
+        if self.writes_paused or self.transport.is_closing():
             return
         self.transport.resume_reading()
         self._answer_buffered()
@@ -545,7 +517,7 @@ class _Connection(asyncio.Protocol):
         pos = 0
         answered = 0
         try:
-            while not (self._stalled() or transport.is_closing()):
+            while not (self.writes_paused or transport.is_closing()):
                 if answered == _ANSWERS_PER_TURN:
                     # Pause like backpressure does, for one loop turn.
                     transport.pause_reading()
@@ -572,12 +544,14 @@ class _Connection(asyncio.Protocol):
                     self._reject(core.malformed_response(error),
                                  method, target, headers)
                     return
-                try:
-                    length = int(headers.get("content-length", "0"))
-                except ValueError:
+                # 1*DIGIT only (RFC 9110 §8.6): int() would also take a
+                # sign, "_" separators and non-ASCII digits.
+                declared = headers.get("content-length", "0")
+                if not (declared.isascii() and declared.isdigit()):
                     self._reject(core.malformed_response("bad Content-Length"),
                                  method, target, headers)
                     return
+                length = int(declared)
                 if length > core.max_body_bytes:
                     self._reject(core.oversized_response(length),
                                  method, target, headers, bytes_in=length)
@@ -627,43 +601,13 @@ class _Connection(asyncio.Protocol):
         core.count_request(ctx.endpoint)
         response = core.check_rate(headers.get("x-client-id") or self.peer_host)
         if response is None:
-            if not _acquire_now(self.server._gate):
-                self.transport.pause_reading()
-                self.waiting = self.loop.create_task(self._await_gate(
-                    ctx, method, target, headers, body, keep_alive))
-                return
-            response = self._handle(ctx, method, target, headers, body)
-        self._send(ctx, response, keep_alive)
-
-    async def _await_gate(self, ctx: RequestContext, method: str, target: str,
-                          headers: dict[str, str], body: bytes,
-                          keep_alive: bool) -> None:
-        try:
-            await asyncio.wait_for(self.server._gate.acquire(),
-                                   timeout=self.server.busy_timeout_s)
-        except asyncio.TimeoutError:
-            response = self.core.busy_response()
-        else:
-            response = self._handle(ctx, method, target, headers, body)
-        self.waiting = None
-        self._send(ctx, response, keep_alive)
-        self._resume()
-
-    def _handle(self, ctx: RequestContext, method: str, target: str,
-                headers: dict[str, str], body: bytes) -> ServeResponse:
-        """``core.handle`` under the gate the caller acquired."""
-        core = self.core
-        core.metrics.inflight.inc()
-        try:
             with core.obs.span("serve.request", endpoint=ctx.endpoint,
                                method=method, request_id=ctx.request_id):
-                return core.handle(
+                response = core.handle(
                     method, target, body=body,
                     if_none_match=headers.get("if-none-match"),
                 )
-        finally:
-            core.metrics.inflight.inc(-1)
-            self.server._gate.release()
+        self._send(ctx, response, keep_alive)
 
     def _send(self, ctx: RequestContext, response: ServeResponse,
               keep_alive: bool) -> None:
@@ -698,7 +642,7 @@ class _Connection(asyncio.Protocol):
             self.timer = None
             return
         now = self.loop.time()
-        if self._stalled():
+        if self.writes_paused:
             # The server owes this client an answer, not the reverse.
             self.timer = self.loop.call_at(
                 now + self.server.read_timeout_s, self._on_deadline)

@@ -274,7 +274,6 @@ class ServeAggregator:
                 "live": bool(doc.get("live", False)),
                 "requests": _sum_values(metrics, "daas_serve_requests_total"),
                 "errors": _error_requests(metrics),
-                "inflight": _sum_values(metrics, "daas_serve_inflight"),
                 "open_connections": _sum_values(
                     metrics, "daas_serve_open_connections"
                 ),
@@ -283,7 +282,6 @@ class ServeAggregator:
             "workers": len(workers),
             "requests": sum(w["requests"] for w in workers),
             "errors": sum(w["errors"] for w in workers),
-            "inflight": sum(w["inflight"] for w in workers),
             "open_connections": sum(w["open_connections"] for w in workers),
             "skipped_files": int(skipped),
             "latency": _latency_summary(merged.get("daas_serve_request_seconds")),
@@ -517,8 +515,7 @@ def render_serve_status(
         f"fleet:   {fleet.get('workers', 0)} worker(s)  "
         f"{fleet.get('requests', 0):,} requests  "
         f"{fleet.get('errors', 0):,} errors  "
-        f"{fleet.get('open_connections', 0):,} open conns  "
-        f"{fleet.get('inflight', 0):,} in flight",
+        f"{fleet.get('open_connections', 0):,} open conns",
         f"index:   {', '.join(sorted(versions)) if versions else '(none loaded)'}"
         + ("  [MIXED VERSIONS]" if len(versions) > 1 else ""),
         f"latency: p50 {_ms('p50_ms')}  p99 {_ms('p99_ms')}  "
@@ -531,7 +528,7 @@ def render_serve_status(
         lines.append(f"skipped: {fleet['skipped_files']} snapshot file(s)")
     header = (
         f"{'worker':<8} {'pid':>7} {'age s':>7} {'requests':>10} "
-        f"{'errors':>7} {'inflight':>8} {'conns':>6}"
+        f"{'errors':>7} {'conns':>6}"
     )
     lines += [header, "-" * len(header)]
     for worker in workers:
@@ -542,7 +539,6 @@ def render_serve_status(
             f"{str(worker.get('worker', '?')):<8} "
             f"{str(worker.get('pid', '-')):>7} {age:>7} "
             f"{worker.get('requests', 0):>10,} {worker.get('errors', 0):>7,} "
-            f"{worker.get('inflight', 0):>8,} "
             f"{worker.get('open_connections', 0):>6,}"
         )
     return "\n".join(lines)

@@ -96,11 +96,9 @@ class _CoreMetrics:
 
     requests: dict[str, Any] = field(default_factory=dict)
     rate_limited: Any = None
-    busy_rejected: Any = None
     oversized: Any = None
     malformed: Any = None
     read_timeouts: Any = None
-    inflight: Any = None
     index_loaded: Any = None
     reloads: dict[str, Any] = field(default_factory=dict)
     screened: Any = None
@@ -116,7 +114,6 @@ class IntelHandlerCore:
         obs: Observability | None = None,
         rate_limit: float = 0.0,
         burst: float | None = None,
-        max_concurrency: int = 64,
         max_batch: int = 256,
         cache_size: int = 4096,
         max_body_bytes: int = 1 << 20,
@@ -129,7 +126,6 @@ class IntelHandlerCore:
         status_dir: str | None = None,
     ) -> None:
         self.obs = obs if obs is not None else Observability.disabled()
-        self.max_concurrency = max_concurrency
         self.max_batch = max_batch
         self.cache_size = cache_size
         self.max_body_bytes = max_body_bytes
@@ -185,10 +181,6 @@ class IntelHandlerCore:
             "daas_serve_rate_limited_total",
             help_text="Requests rejected 429 by the per-client token bucket.",
         )
-        m.busy_rejected = metrics.counter(
-            "daas_serve_busy_rejections_total",
-            help_text="Requests rejected 503 by the concurrency gate.",
-        )
         m.oversized = metrics.counter(
             "daas_serve_oversized_total",
             help_text="Requests rejected 413 for a body over the byte cap.",
@@ -200,10 +192,6 @@ class IntelHandlerCore:
         m.read_timeouts = metrics.counter(
             "daas_serve_read_timeouts_total",
             help_text="Connections closed by the slow-client read deadline.",
-        )
-        m.inflight = metrics.gauge(
-            "daas_serve_inflight",
-            help_text="Requests currently inside the concurrency gate.",
         )
         m.index_loaded = metrics.gauge(
             "daas_serve_index_loaded",
@@ -350,13 +338,6 @@ class IntelHandlerCore:
             {"error": "rate limit exceeded", "retry_after_s": round(wait, 3)},
             extra_headers=(("Retry-After", str(max(1, int(wait + 0.999)))),),
         )
-
-    def busy_response(self) -> ServeResponse:
-        self.metrics.busy_rejected.inc()
-        return self._json(503, {
-            "error": "server saturated, try again",
-            "max_concurrency": self.max_concurrency,
-        })
 
     def oversized_response(self, length: int) -> ServeResponse:
         self.metrics.oversized.inc()

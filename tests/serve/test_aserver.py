@@ -15,8 +15,8 @@ The acceptance matrix for the asyncio transport:
   its head ends, ``Connection: close`` either way, one deadline per
   request, write backpressure against a client that stops reading,
   and a deep pipeline yielding to other connections;
-* admission control and hot reload (429 + recovery, 503 saturation,
-  zero-drop reload under concurrent load);
+* admission control and hot reload (429 + recovery, zero-drop reload
+  under concurrent load);
 * :func:`preforked_sockets` binding semantics, including a real forked
   two-worker round-robin under the ``multiproc`` marker.
 
@@ -361,6 +361,55 @@ class TestProtocolEdges:
         finally:
             server.stop()
 
+    @pytest.mark.parametrize("lengths", [
+        ["-44"], ["+0"], ["0_0"], ["44", "0"], ["0", "44"],
+    ], ids=["negative", "signed", "underscore", "repeat-44-0", "repeat-0-44"])
+    def test_bad_content_length_400_and_close(self, aserver, lengths):
+        """A length ``int()`` would take but RFC 9110's ``1*DIGIT``
+        does not, or a repeat with another value, is a 400 and a close:
+        the request behind it is never answered."""
+        client = RawClient(aserver.port, timeout=2.0)
+        client.sock.sendall(
+            b"POST /v1/screen HTTP/1.1\r\nHost: t\r\n"
+            + b"".join(f"Content-Length: {n}\r\n".encode() for n in lengths)
+            + b"\r\nGET /v1/index HTTP/1.1\r\nHost: t\r\n\r\n")
+        status, headers, body = client.read_response()
+        assert status == 400 and headers["connection"] == "close"
+        assert json.loads(body)["error"] == \
+            "malformed request: bad Content-Length"
+        assert client.buffer == b""
+        try:  # a FIN, or a RST when the close left the GET unread
+            assert client.sock.recv(65536) == b""
+        except ConnectionResetError:
+            pass
+        client.close()
+        assert aserver.obs.metrics.value("daas_serve_malformed_total") == 1
+
+    def test_rate_limited_post_keeps_connection_framed(self, intel_index,
+                                                       pipeline):
+        """A POST answered 429 still has its body read, so the next
+        request on the connection parses and is answered."""
+        server = AsyncIntelServer(
+            index=intel_index, rate_limit=1.0, burst=1.0, clock=FakeClock(),
+        ).start()
+        address = sorted(pipeline.dataset.contracts)[0]
+        screen = json.dumps({"addresses": [address]}).encode()
+        try:
+            client = RawClient(server.port)
+            wallet_a = {"X-Client-Id": "wallet-a"}
+            assert client.request(
+                "POST", "/v1/screen", wallet_a, screen)[0] == 200
+            assert client.request(
+                "POST", "/v1/screen", wallet_a, screen)[0] == 429
+            status, _, body = client.request(
+                "POST", "/v1/screen", {"X-Client-Id": "wallet-b"}, screen)
+            assert status == 200
+            assert [v["address"] for v in json.loads(body)["verdicts"]] == \
+                [address]
+            client.close()
+        finally:
+            server.stop()
+
     def test_pipelined_requests_answered_in_order(self, aserver, pipeline):
         address = sorted(pipeline.dataset.contracts)[0]
         screen = json.dumps({"addresses": [address]}).encode()
@@ -540,25 +589,6 @@ class TestAdmissionControl:
         finally:
             server.stop()
 
-    def test_concurrency_gate_503(self, intel_index):
-        server = AsyncIntelServer(
-            index=intel_index, max_concurrency=1, busy_timeout_s=0.01,
-        ).start()
-        try:
-            acquired = asyncio.run_coroutine_threadsafe(
-                server._gate.acquire(), server.loop)
-            assert acquired.result(timeout=2.0) is True
-            client = RawClient(server.port)
-            status, _, body = client.request("GET", "/v1/index")
-            assert status == 503
-            assert "saturated" in json.loads(body)["error"]
-            server.loop.call_soon_threadsafe(server._gate.release)
-            time.sleep(0.05)
-            assert client.request("GET", "/v1/index")[0] == 200
-            client.close()
-        finally:
-            server.stop()
-
     def test_no_index_503_until_loaded(self, intel_index):
         server = AsyncIntelServer().start()
         try:
@@ -647,13 +677,13 @@ class TestPreforkedSockets:
     def test_binds_n_listeners_on_one_port(self):
         if not hasattr(socket, "SO_REUSEPORT"):
             pytest.skip("SO_REUSEPORT not available")
-        sockets, port = preforked_sockets("127.0.0.1", 0, 3)
+        listeners = preforked_sockets("127.0.0.1", 0, 3)
         try:
-            assert len(sockets) == 3 and port > 0
-            assert all(s.getsockname()[1] == port for s in sockets)
+            assert len(listeners.sockets) == 3 and listeners.port > 0
+            assert all(s.getsockname()[1] == listeners.port
+                       for s in listeners.sockets)
         finally:
-            for s in sockets:
-                s.close()
+            listeners.close()
 
     def test_rejects_zero_workers(self):
         with pytest.raises(ValueError, match="at least one worker"):
@@ -668,7 +698,8 @@ class TestPreforkedSockets:
             pytest.skip("needs SO_REUSEPORT and os.fork")
         path = tmp_path / "idx.json"
         intel_index.save(path)
-        sockets, port = preforked_sockets("127.0.0.1", 0, 2)
+        listeners = preforked_sockets("127.0.0.1", 0, 2)
+        sockets, port = listeners.sockets, listeners.port
         pids = []
         for sock in sockets:
             pid = os.fork()

@@ -3,8 +3,8 @@
 Every operator/affiliate/contract in the fixture dataset answers with
 the correct role and family, the error surface (404 unknown entity, 405
 wrong method, 400 bad batch) behaves, conditional requests hit 304, and
-requests are counted.  Admission control (429, 503) and hot reload are
-pinned in ``test_aserver.py``.
+requests are counted.  Admission control (429), the no-index 503 and
+hot reload are pinned in ``test_aserver.py``.
 """
 
 from __future__ import annotations

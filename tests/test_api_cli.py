@@ -26,20 +26,11 @@ class TestAPI:
         assert result.world.params.scale == 0.005
         assert result.world.params.seed == 77
 
-    def test_legacy_kwargs_still_work_with_warning(self):
-        world = build_world(SimulationParams(scale=0.005, seed=77))
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            result = run_pipeline(world=world)
-        assert result.world is world
-
-    def test_legacy_params_positional_still_works_with_warning(self):
-        with pytest.warns(DeprecationWarning, match="PipelineConfig"):
-            result = run_pipeline(SimulationParams(scale=0.005, seed=77))
-        assert result.world.params.seed == 77
-
     def test_unknown_kwargs_rejected(self):
         with pytest.raises(TypeError, match="unexpected keyword"):
             run_pipeline(bogus=1)
+        with pytest.raises(TypeError, match="expects a PipelineConfig"):
+            run_pipeline(SimulationParams(scale=0.005, seed=77))
 
     def test_build_dataset_result_fields(self, world):
         build = build_dataset(world)
@@ -47,12 +38,6 @@ class TestAPI:
         assert build.expansion_report.converged
         assert build.seed_summary["profit_sharing_contracts"] > 0
         assert build.resume_info is None  # no checkpointing requested
-
-    def test_build_dataset_tuple_unpack_is_deprecated(self, world):
-        with pytest.warns(DeprecationWarning, match="unpacking"):
-            dataset, seed_report, expansion, analyzer, summary = build_dataset(world)
-        assert dataset.contracts
-        assert expansion.converged
 
 
 class TestCLI:

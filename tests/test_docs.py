@@ -1,5 +1,6 @@
-"""Docs stay consistent with the code: links resolve, CLI flags exist,
-and the serving route inventory matches docs/serving.md both ways.
+"""Docs stay consistent with the code: links resolve, CLI flags exist
+(on command lines and in flag tables), and the serving route inventory
+matches docs/serving.md both ways.
 
 Wraps ``scripts/check_docs.py`` (which also runs standalone) into the
 default pytest tier so a renamed doc or a dropped CLI flag fails CI.
@@ -42,6 +43,20 @@ def test_checker_catches_broken_link(tmp_path):
     assert any("missing.md" in e for e in errors)
     assert any("--imaginary" in e for e in errors)
     assert not any("--real" in e for e in errors)
+
+
+def test_checker_catches_stale_table_flag(tmp_path):
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "src" / "repro").mkdir(parents=True)
+    (tmp_path / "src" / "repro" / "cli.py").write_text('p.add_argument("--real")\n')
+    (tmp_path / "docs" / "a.md").write_text(
+        "| flag | meaning |\n"
+        "|---|---|\n"
+        "| `--real N` | kept; only the first cell is checked: `--prose` |\n"
+        "| `--gone N` | deleted from the CLI |\n"
+    )
+    errors = check_docs.run_checks(tmp_path)
+    assert errors == ["docs/a.md: flag --gone not in repro/cli.py"]
 
 
 def test_checker_skips_external_links(tmp_path):

@@ -1,4 +1,5 @@
-"""The metric/event catalogue stays complete: every emitted name is documented.
+"""The metric/event catalogue stays complete and current: every emitted
+name is documented, and every catalogued metric name is emitted.
 
 Wraps ``scripts/check_metrics_catalog.py`` (which also runs standalone)
 into the default pytest tier next to ``test_docs.py``, so a new
@@ -45,6 +46,30 @@ def test_checker_catches_undocumented_metric(tmp_path):
     assert any("daas_surprise_total" in e for e in errors)
     assert any("surprise.event" in e for e in errors)
     assert not any("known.event" in e for e in errors)
+
+
+def test_checker_catches_stale_catalogue_row(tmp_path):
+    pkg = tmp_path / "src" / "repro"
+    pkg.mkdir(parents=True)
+    (pkg / "thing.py").write_text(
+        'registry.counter("daas_live_total").inc()\n'
+        'self._count("daas_counted_total")\n'
+        'registry.gauge(f"daas_cache_{field}").set(1)\n'
+    )
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "observability.md").write_text(
+        "| metric | type |\n"
+        "|---|---|\n"
+        "| `daas_live_total` | counter |\n"
+        "| `daas_counted_total` | counter |\n"
+        "| `daas_cache_hits` / `_misses` | gauge |\n"
+        "| `daas_deleted_total` | counter |\n"
+    )
+    errors = check_catalog.run_checks(tmp_path)
+    assert errors == [
+        "docs/observability.md catalogues 'daas_deleted_total', which no "
+        "src/repro module emits"
+    ]
 
 
 def test_checker_reports_missing_catalogue(tmp_path):
