@@ -16,13 +16,17 @@ Verifies, for ``README.md`` and every ``docs/*.md``:
    row (the flag tables) exists as an ``add_argument`` flag in
    ``src/repro/cli.py`` — so the docs cannot drift ahead of or behind
    the CLI, and a deleted flag cannot leave its table row behind;
-4. the query-service route inventory matches both ways: every route
+4. every ``daas-repro <command> [<action>]`` named on a line names a
+   subparser that ``src/repro/cli.py`` defines (the action is checked
+   for commands that take one, like ``index build``) — so the docs
+   cannot name a deleted or renamed command;
+5. the query-service route inventory matches both ways: every route
    string literal in ``src/repro/serve/*.py`` appears in
    ``docs/serving.md``, and every ``/v1/...``, ``/healthz``,
-   ``/statusz`` or ``/metrics`` route the doc mentions exists in the
-   serving source — so the API reference cannot document a route that
-   was removed, nor silently omit one that shipped;
-5. the risk-stage taxonomy is documented: every ``STAGE_*`` literal in
+   ``/readyz``, ``/statusz`` or ``/metrics`` route the doc mentions
+   exists in the serving source — so the API reference cannot document
+   a route that was removed, nor silently omit one that shipped;
+6. the risk-stage taxonomy is documented: every ``STAGE_*`` literal in
    ``src/repro/risk/signals.py`` is named in ``docs/risk.md``, and
    ``docs/serving.md`` covers the ``schema_version`` response field —
    so the fusion docs cannot drift behind the signal model.
@@ -117,6 +121,58 @@ def _table_first_cells(text: str):
             yield line.split("|", 2)[1]
 
 
+_PARSER_RE = re.compile(
+    r"""(\w+)\s*=\s*\w+\.add_subparsers\("""
+    r"""|(\w+)\.add_parser\(\s*["']([a-z][a-z0-9-]*)["']"""
+)
+_DOC_COMMAND_RE = re.compile(
+    r"daas-repro[ \t]+([a-z][a-z0-9-]*)(?:[ \t]+([a-z][a-z0-9-]*))?"
+)
+
+
+def cli_commands(root: Path = REPO_ROOT) -> dict[str, set[str]]:
+    """Every subcommand ``src/repro/cli.py`` defines, mapped to its
+    actions (empty for a command without nested subparsers).  The
+    first ``add_subparsers`` holds the commands; each later one holds
+    the actions of the command added just before it."""
+    source = (root / "src" / "repro" / "cli.py").read_text()
+    commands: dict[str, set[str]] = {}
+    top = last = None
+    owners: dict[str, str | None] = {}
+    for match in _PARSER_RE.finditer(source):
+        holder, receiver, name = match.groups()
+        if holder:
+            if top is None:
+                top = holder
+            else:
+                owners[holder] = last
+        elif receiver == top:
+            commands[name] = set()
+            last = name
+        elif owners.get(receiver) in commands:
+            commands[owners[receiver]].add(name)
+    return commands
+
+
+def check_commands(
+    path: Path, commands: dict[str, set[str]], root: Path = REPO_ROOT
+) -> list[str]:
+    errors = []
+    for line in path.read_text().splitlines():
+        for command, action in _DOC_COMMAND_RE.findall(line):
+            if command not in commands:
+                errors.append(
+                    f"{path.relative_to(root)}: command daas-repro {command} "
+                    "not in repro/cli.py"
+                )
+            elif commands[command] and action not in commands[command]:
+                errors.append(
+                    f"{path.relative_to(root)}: command daas-repro {command} "
+                    f"{action} not in repro/cli.py"
+                )
+    return errors
+
+
 def check_flags(path: Path, known: set[str], root: Path = REPO_ROOT) -> list[str]:
     errors = []
     text = path.read_text()
@@ -129,8 +185,10 @@ def check_flags(path: Path, known: set[str], root: Path = REPO_ROOT) -> list[str
     return errors
 
 
-_SOURCE_ROUTE_RE = re.compile(r"""["'](/(?:v1/[a-z]+|healthz|statusz|metrics))""")
-_DOC_ROUTE_RE = re.compile(r"/(?:v1/[a-z]+|healthz|statusz|metrics)")
+_SOURCE_ROUTE_RE = re.compile(
+    r"""["'](/(?:v1/[a-z]+|healthz|readyz|statusz|metrics))"""
+)
+_DOC_ROUTE_RE = re.compile(r"/(?:v1/[a-z]+|healthz|readyz|statusz|metrics)")
 
 
 def serve_routes(root: Path = REPO_ROOT) -> set[str]:
@@ -207,10 +265,12 @@ def check_risk_docs(root: Path = REPO_ROOT) -> list[str]:
 
 def run_checks(root: Path = REPO_ROOT) -> list[str]:
     known = cli_flags(root)
+    commands = cli_commands(root)
     errors: list[str] = []
     for path in doc_files(root):
         errors.extend(check_links(path, root))
         errors.extend(check_flags(path, known, root))
+        errors.extend(check_commands(path, commands, root))
     errors.extend(check_routes(root))
     errors.extend(check_risk_docs(root))
     return errors

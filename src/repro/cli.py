@@ -9,13 +9,12 @@ Commands:
 * ``webdetect``     — run the §8 website-detection pipeline and Table 4.
 * ``report``        — everything above as one paper-vs-measured report.
 * ``trace-summary`` — per-stage flame table from a ``--trace-out`` file.
-* ``live-status``   — health/progress/alerts of a running server
-  (``http://host:port``) or a ``--snapshot-out`` file.
+* ``live-status``   — health of a run (its ``--serve-metrics`` URL or
+  ``--snapshot-out`` file) or the per-worker + fleet table of a query
+  service (its URL or ``--status-dir``); exit 0 ok / 2 degraded / 1
+  error.
 * ``index build``   — condense a dataset (or a fresh pipeline run) into
   the read-optimized, byte-stable intelligence index.
-* ``index serve-status`` — per-worker + fleet table for a running query
-  service, from its URL (``/statusz``) or its ``--status-dir``; exit 0
-  ok / 2 degraded / 1 error, same convention as ``live-status``.
 * ``stream run``    — continuous ingestion: tail the chain (and, with
   ``--with-domains``, the CT log) behind a checkpointed cursor, maintain
   the snowball/clustering state incrementally, and publish versioned
@@ -39,11 +38,12 @@ Observability flags (``build-dataset`` and ``webdetect``):
 ``--log-json`` streams structured events to stderr, ``--trace-out``
 writes the span trace as JSON lines, ``--metrics-out`` writes the
 metrics registry (Prometheus text format, or JSON for ``.json`` paths).
-Live-operations flags (same commands): ``--serve-metrics PORT`` serves
-``/metrics`` + ``/healthz`` + ``/readyz`` + ``/statusz`` during the run,
-``--snapshot-out FILE`` appends registry snapshots every
-``--snapshot-every`` seconds, ``--alerts FILE`` evaluates declarative
-alert rules at each tick.  Fault-tolerance flags (same commands):
+Live-operations flags (``build-dataset``, ``webdetect`` and ``stream
+run``): ``--serve-metrics PORT`` serves ``/metrics`` + ``/healthz`` +
+``/readyz`` + ``/statusz`` during the run, ``--snapshot-out FILE``
+appends registry snapshots every ``--snapshot-every`` seconds,
+``--alerts FILE`` evaluates declarative alert rules at each tick.
+Fault-tolerance flags (same three commands):
 ``--retries`` enables the retry/breaker layer, ``--fault-plan`` injects
 a committed failure drill, and ``build-dataset --checkpoint FILE`` /
 ``--resume`` make a killed run restartable with byte-identical output.
@@ -260,8 +260,9 @@ def _config(args: argparse.Namespace, obs: Observability | None = None) -> Pipel
 
 
 def _live(args: argparse.Namespace, obs: Observability, engine=None):
-    """LiveOps bundle from the CLI flags, or None when no live flag is set.
-    Exits with a one-line error on a bad alert file."""
+    """Started LiveOps bundle from the CLI flags, or None when no live
+    flag is set.  A bad alert file or a port that cannot be bound raises
+    ValueError with a one-line message (callers print it, exit 1)."""
     port = getattr(args, "serve_metrics", None)
     snapshot_out = getattr(args, "snapshot_out", "")
     alerts_path = getattr(args, "alerts", "")
@@ -281,7 +282,10 @@ def _live(args: argparse.Namespace, obs: Observability, engine=None):
         stage_deadline_s=getattr(args, "stage_deadline", 300.0),
         before_tick=engine.publish_metrics if engine is not None else None,
     )
-    live.start()
+    try:
+        live.start()
+    except OSError as exc:
+        raise ValueError(f"cannot bind {live.server.host}:{port}: {exc}") from None
     if live.server is not None:
         print(f"live endpoints on {live.server.url} "
               "(/metrics /healthz /readyz /statusz)")
@@ -601,16 +605,21 @@ def cmd_trace_summary(args: argparse.Namespace) -> int:
 
 
 def cmd_live_status(args: argparse.Namespace) -> int:
-    from repro.obs.live import LiveStatusError, load_status_source, render_live_status
+    from repro.obs.live import (
+        LiveStatusError,
+        load_status_source,
+        render_status,
+        status_state,
+    )
 
     try:
         doc = load_status_source(args.source)
     except LiveStatusError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    print(render_live_status(doc))
-    status = doc.get("status", {}) or {}
-    return 0 if status.get("state", "ok") == "ok" else 2
+    state = status_state(doc, stale_after_s=args.stale_after)
+    print(render_status(doc, state))
+    return 0 if state.state == "ok" else 2
 
 
 # -- serving layer (docs/serving.md) ------------------------------------------
@@ -668,28 +677,11 @@ def cmd_index_build(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_index_serve_status(args: argparse.Namespace) -> int:
-    from repro.serve.fleet import (
-        ServeStatusError,
-        load_serve_status_source,
-        render_serve_status,
-        serve_status_state,
-    )
-
-    try:
-        doc = load_serve_status_source(args.source)
-    except ServeStatusError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    state = serve_status_state(doc, stale_after_s=args.stale_after)
-    print(render_serve_status(doc, state))
-    return 0 if state.state == "ok" else 2
-
-
 class _StreamLiveBridge:
     """``before_tick`` hook for stream runs: flush engine metrics, then
-    evaluate the publisher's staleness bound, so /readyz degrades while
-    the loop is wedged — not only when it next publishes."""
+    evaluate the publisher's staleness bound, so ``/healthz`` and
+    ``/statusz`` degrade while the loop is wedged — not only when it
+    next publishes."""
 
     def __init__(self, engine, publisher) -> None:
         self._engine = engine
@@ -1062,10 +1054,15 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser(
         "live-status",
-        help="health/progress/alerts from a running --serve-metrics server "
-             "(http://host:port) or a --snapshot-out file",
+        help="health of a run or a serve fleet; exit 0 ok / 2 degraded "
+             "/ 1 error",
     )
-    p.add_argument("source", help="server URL or snapshot JSONL file")
+    p.add_argument("source",
+                   help="a --serve-metrics or serve URL (http://host:port), "
+                        "a --snapshot-out file or a serve --status-dir")
+    p.add_argument("--stale-after", type=float, default=15.0, metavar="SECS",
+                   help="a serve worker snapshot older than this degrades "
+                        "the fleet state (default 15; 0 disables)")
     p.set_defaults(fn=cmd_live_status)
 
     index_flag = _index_parent()
@@ -1096,18 +1093,6 @@ def main(argv: list[str] | None = None) -> int:
                    help="skip repro.risk stage-signal collection (emits "
                         "the pre-fusion index shape byte-for-byte)")
     b.set_defaults(fn=cmd_index_build)
-    s = isub.add_parser(
-        "serve-status",
-        help="per-worker + fleet view of a running query service; "
-             "exit 0 ok / 2 degraded / 1 error",
-    )
-    s.add_argument("source",
-                   help="serve URL (http://host:port) or the fleet's "
-                        "--status-dir directory")
-    s.add_argument("--stale-after", type=float, default=15.0, metavar="SECS",
-                   help="a worker snapshot older than this degrades the "
-                        "fleet state (default 15; 0 disables)")
-    s.set_defaults(fn=cmd_index_serve_status)
 
     p = sub.add_parser(
         "stream",
@@ -1128,8 +1113,8 @@ def main(argv: list[str] | None = None) -> int:
                         "after draining; default 1)")
     r.add_argument("--staleness-bound", type=float, default=30.0,
                    metavar="SECS",
-                   help="served-index age beyond which health (/readyz) "
-                        "degrades (default 30; 0 disables)")
+                   help="served-index age beyond which health (/healthz, "
+                        "/statusz) degrades (default 30; 0 disables)")
     r.add_argument("--max-ticks", type=int, default=0, metavar="N",
                    help="stop after N ticks (0 = drain the backlog)")
     r.add_argument("--out", default="intel_stream.json", metavar="FILE",
@@ -1187,7 +1172,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--status-dir", default="", metavar="DIR",
                    help="directory for per-worker metrics snapshots; "
                         "enables the fleet-wide /statusz and /metrics "
-                        "views and `daas-repro index serve-status`")
+                        "views and `daas-repro live-status DIR`")
     p.add_argument("--status-every", type=float, default=5.0, metavar="SECS",
                    help="how often each worker refreshes its snapshot in "
                         "--status-dir (default 5)")

@@ -6,9 +6,10 @@ leaves a wedged CT tail or a stalled snowball round invisible until the
 process dies.  This package layers an *operations* plane on the existing
 :class:`~repro.obs.Observability` handle:
 
-* :class:`~repro.obs.live.server.MetricsServer`   — ``/metrics`` (Prometheus
-  text), ``/healthz``, ``/readyz``, ``/statusz`` on a stdlib HTTP daemon
-  thread;
+* the probe port — ``/metrics`` (Prometheus text), ``/healthz``,
+  ``/readyz``, ``/statusz`` on the serve plane's asyncio transport
+  (:class:`~repro.serve.aserver.AsyncIntelServer`, no index), run on a
+  daemon thread with :class:`LiveOps` as its health source;
 * :class:`~repro.obs.live.snapshot.Snapshotter`   — timestamped registry
   snapshots appended to a JSONL time-series file on a cadence;
 * :class:`~repro.obs.live.watchdog.Watchdog`      — stage heartbeats vs.
@@ -34,12 +35,13 @@ from typing import Any, Callable
 
 from repro.obs.live.alerts import AlertEngine, AlertRule, load_alert_rules, parse_alert_rules
 from repro.obs.live.health import RunStatus
-from repro.obs.live.server import MetricsServer
 from repro.obs.live.snapshot import Snapshotter
 from repro.obs.live.status import (
     LiveStatusError,
     load_status_source,
     render_live_status,
+    render_status,
+    status_state,
 )
 from repro.obs.live.watchdog import Watchdog
 
@@ -48,7 +50,6 @@ __all__ = [
     "AlertRule",
     "LiveOps",
     "LiveStatusError",
-    "MetricsServer",
     "RunStatus",
     "Snapshotter",
     "Watchdog",
@@ -56,11 +57,18 @@ __all__ = [
     "load_status_source",
     "parse_alert_rules",
     "render_live_status",
+    "render_status",
+    "status_state",
 ]
 
 
 class LiveOps:
-    """One run's live-operations bundle, attached to an Observability."""
+    """One run's live-operations bundle, attached to an Observability.
+
+    It is also the health source of the run's probe port: the four
+    answers below are what ``/healthz``, ``/readyz``, ``/statusz`` and
+    ``/metrics`` report, each computed when it is asked for.
+    """
 
     def __init__(
         self,
@@ -89,18 +97,16 @@ class LiveOps:
         self.alert_engine = (
             AlertEngine(alert_rules, obs=obs) if alert_rules else None
         )
-        self.server = (
-            MetricsServer(
-                obs,
-                status=self.status,
-                watchdog=self.watchdog,
-                alert_engine=self.alert_engine,
-                host=host,
-                port=serve_port,
+        #: Refresh hook run before every snapshot tick and before every
+        #: probe but ``/readyz`` (the CLI wires the engine's metrics here).
+        self.before_tick = before_tick
+        self.server = None
+        if serve_port is not None:
+            from repro.serve.aserver import AsyncIntelServer
+
+            self.server = AsyncIntelServer(
+                obs=obs, host=host, port=serve_port, health=self
             )
-            if serve_port is not None
-            else None
-        )
         self.snapshotter = (
             Snapshotter(
                 obs,
@@ -125,11 +131,11 @@ class LiveOps:
         then drive :meth:`tick` themselves, as the tests do)."""
         if self._started:
             return self
+        if self.server is not None:
+            self.server.start()  # OSError when the port is taken
+            self.obs.event("live.serving", url=self.server.url, port=self.server.port)
         self._started = True
         self.obs.live = self
-        if self.server is not None:
-            self.server.start()
-            self.obs.event("live.serving", url=self.server.url, port=self.server.port)
         if self.snapshotter is not None and background:
             self.snapshotter.start()
         return self
@@ -165,11 +171,42 @@ class LiveOps:
     def heartbeat(self, name: str | None = None) -> None:
         self.watchdog.beat(name)
 
+    # -- the probe port's health source ---------------------------------------
+
+    def _refresh(self) -> None:
+        if self.before_tick is not None:
+            self.before_tick()
+        self.watchdog.check()
+
+    def health_doc(self) -> dict[str, Any]:
+        self._refresh()
+        return {"status": self.status.state,
+                "reasons": self.status.degraded_reasons()}
+
+    def ready(self) -> bool:
+        return self.status.ready
+
+    def status_doc(self) -> dict[str, Any]:
+        """Run status, watchdog and (re-evaluated) alert rules."""
+        self._refresh()
+        doc: dict[str, Any] = {
+            "status": self.status.snapshot(),
+            "watchdog": self.watchdog.snapshot(),
+        }
+        if self.alert_engine is not None:
+            self.alert_engine.evaluate(self.obs.metrics)
+            doc["alerts"] = self.alert_engine.snapshot()
+            doc["firing"] = self.alert_engine.firing()
+        return doc
+
+    def exposition(self) -> str:
+        self._refresh()
+        return self.obs.metrics.to_prometheus()
+
     def tick(self, now: float | None = None) -> dict[str, Any] | None:
         """Manual snapshot tick (no-op without a snapshotter)."""
         if self.snapshotter is None:
-            if self.watchdog is not None:
-                self.watchdog.check()
+            self.watchdog.check()
             if self.alert_engine is not None:
                 self.alert_engine.evaluate(self.obs.metrics)
             return None

@@ -39,6 +39,8 @@ __all__ = [
     "MetricsRegistry",
     "escape_help",
     "escape_label_value",
+    "format_value",
+    "render_labels",
 ]
 
 #: Default buckets (seconds) for per-transaction / per-contract
@@ -89,7 +91,9 @@ def escape_help(text: str) -> str:
     return text.replace("\\", "\\\\").replace("\n", "\\n")
 
 
-def _format_value(value: float) -> str:
+def format_value(value: float) -> str:
+    """A sample value as exposition text: ``+Inf``, integral floats
+    without a fraction, anything else as ``repr``."""
     if value == float("inf"):
         return "+Inf"
     if isinstance(value, float) and value.is_integer():
@@ -319,7 +323,7 @@ class MetricsRegistry:
                         "count": instrument.count,
                         "sum": round(instrument.sum, 6),
                         "buckets": {
-                            _format_value(bound): n
+                            format_value(bound): n
                             for bound, n in instrument.cumulative_counts()
                         },
                     })
@@ -344,22 +348,23 @@ class MetricsRegistry:
                     for bound, cumulative in instrument.cumulative_counts():
                         lines.append(
                             f"{name}_bucket"
-                            f"{_render_labels({**base, 'le': _format_value(bound)})}"
+                            f"{render_labels({**base, 'le': format_value(bound)})}"
                             f" {cumulative}"
                         )
                     lines.append(
-                        f"{name}_sum{_render_labels(base)} "
-                        f"{_format_value(round(instrument.sum, 9))}"
+                        f"{name}_sum{render_labels(base)} "
+                        f"{format_value(round(instrument.sum, 9))}"
                     )
-                    lines.append(f"{name}_count{_render_labels(base)} {instrument.count}")
+                    lines.append(f"{name}_count{render_labels(base)} {instrument.count}")
                 else:
                     lines.append(
-                        f"{name}{_render_labels(base)} {_format_value(instrument.value)}"
+                        f"{name}{render_labels(base)} {format_value(instrument.value)}"
                     )
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _render_labels(labels: dict[str, str]) -> str:
+def render_labels(labels: dict[str, str]) -> str:
+    """``{key="value",...}`` with escaped values, or ``""`` for none."""
     if not labels:
         return ""
     inner = ",".join(

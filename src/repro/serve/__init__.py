@@ -12,20 +12,21 @@ them into something a wallet or a screening feed can *ask*:
 * :mod:`repro.serve.ratelimit` — per-client token buckets;
 * :mod:`repro.serve.handler`   — :class:`IntelHandlerCore`, the
   transport-agnostic request core (routing, admission bookkeeping,
-  pre-serialized :class:`ServeResponse` cache);
+  pre-serialized :class:`ServeResponse` cache, and the ops probes
+  answered from a health source);
 * :mod:`repro.serve.aserver`   — :class:`AsyncIntelServer`, the asyncio
   HTTP transport over that core: persistent keep-alive connections,
   batch-first endpoints, chunked verdict streams, optional pre-forked
-  multi-worker mode via :func:`preforked_sockets`;
+  multi-worker mode via :func:`preforked_sockets`.  It is also the
+  probe port of a pipeline run (``--serve-metrics``);
 * :mod:`repro.serve.fleet`     — :class:`ServeAggregator`, the fleet
   metrics plane for pre-forked workers: atomic per-worker registry
-  snapshots merged into one ``/statusz`` / ``/metrics`` view and the
-  ``daas-repro index serve-status`` table (errors raise
-  :class:`ServeStatusError`).
+  snapshots merged into one ``/statusz`` / ``/metrics`` view, which
+  ``daas-repro live-status`` renders as a table.
 
 The server adds framing, never bytes: every body it sends is the one
-:meth:`IntelHandlerCore.handle` returns, ETags, rate limiting, bounded
-concurrency and zero-drop hot reload included.
+:meth:`IntelHandlerCore.handle` returns, ETags, rate limiting and
+zero-drop hot reload included.
 
 CLI entry points: ``daas-repro index build``, ``daas-repro serve``,
 ``daas-repro query`` — see ``docs/serving.md`` and ``docs/capacity.md``.
@@ -36,7 +37,7 @@ from repro.serve.aserver import (
     PreforkedListeners,
     preforked_sockets,
 )
-from repro.serve.fleet import ServeAggregator, ServeStatusError
+from repro.serve.fleet import ServeAggregator
 from repro.serve.handler import IntelHandlerCore, ServeResponse
 from repro.serve.index import (
     AddressIntel,
@@ -68,7 +69,6 @@ __all__ = [
     "ScreenVerdict",
     "ServeAggregator",
     "ServeResponse",
-    "ServeStatusError",
     "TokenBucket",
     "build_index",
     "preforked_sockets",

@@ -152,6 +152,7 @@ class AsyncIntelServer:
         worker_id: int = 0,
         status_dir: str | None = None,
         status_every_s: float = 5.0,
+        health=None,
     ) -> None:
         self.core = IntelHandlerCore(
             index=index,
@@ -168,6 +169,7 @@ class AsyncIntelServer:
             slow_request_ms=slow_request_ms,
             worker_id=worker_id,
             status_dir=status_dir,
+            health=health,
         )
         self.host = host
         self.requested_port = port
@@ -302,7 +304,10 @@ class AsyncIntelServer:
             loop.call_soon_threadsafe(stop.set)
 
     def start(self) -> "AsyncIntelServer":
-        """Run the event loop on a daemon thread; returns once bound."""
+        """Run the event loop on a daemon thread; returns once bound.
+
+        A failure to start is raised in the caller as it was raised on
+        the thread: a port that is taken raises its ``OSError``."""
         if self._thread is not None:
             return self
         started = threading.Event()
@@ -323,7 +328,7 @@ class AsyncIntelServer:
             raise RuntimeError("async server did not start within 10s")
         if failure:
             self._thread = None
-            raise RuntimeError(f"async server failed to start: {failure[0]!r}")
+            raise failure[0]
         return self
 
     def stop(self) -> None:

@@ -15,15 +15,14 @@ view:
 * any worker's ``GET /statusz`` / ``GET /metrics`` answers for the
   whole fleet by merging the other workers' snapshots with its own
   live registry;
-* ``daas-repro index serve-status`` renders the per-worker + fleet
-  table from either a serve URL or the ``--status-dir`` directly,
-  with the ``live-status`` exit-code conventions (0 ok / 2 degraded /
-  1 error, one-line errors).
+* ``daas-repro live-status`` renders the per-worker + fleet table
+  from either a serve URL or the ``--status-dir`` directly
+  (:mod:`repro.obs.live.status`).
 
 A snapshot file that is missing, empty, or caught mid-write is
 *skipped*, never fatal: the skip is counted in
 ``daas_serve_agg_skipped_files`` and reported as ``skipped_files`` in
-the status document (which degrades ``serve-status`` to exit 2).
+the status document (which degrades ``live-status`` to exit 2).
 """
 
 from __future__ import annotations
@@ -35,27 +34,18 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.obs.metrics import escape_label_value
+from repro.obs.metrics import format_value, render_labels
 from repro.runtime.atomicio import atomic_write_text
 
 __all__ = [
     "ServeAggregator",
-    "ServeStatusError",
     "SnapshotScan",
-    "StatusState",
-    "load_serve_status_source",
     "render_fleet_prometheus",
-    "render_serve_status",
-    "serve_status_state",
     "snapshot_path",
     "write_worker_snapshot",
 ]
 
 _SNAPSHOT_RE = re.compile(r"^worker-(\d+)\.json$")
-
-
-class ServeStatusError(RuntimeError):
-    """A serve-status source could not be read; message is one line."""
 
 
 def snapshot_path(status_dir: str, worker_id: int) -> str:
@@ -94,14 +84,6 @@ class SnapshotScan:
 
     snapshots: list[dict[str, Any]] = field(default_factory=list)
     skipped: int = 0
-
-
-@dataclass
-class StatusState:
-    """The serve-status verdict: ``ok`` or ``degraded``, with reasons."""
-
-    state: str
-    reasons: list[str] = field(default_factory=list)
 
 
 class ServeAggregator:
@@ -371,24 +353,6 @@ def _latency_summary(family: dict[str, Any] | None) -> dict[str, Any]:
 # -- Prometheus rendering of a merged registry --------------------------------
 
 
-def _render_labels(labels: dict[str, str]) -> str:
-    if not labels:
-        return ""
-    inner = ",".join(
-        f'{key}="{escape_label_value(str(value))}"'
-        for key, value in labels.items()
-    )
-    return "{" + inner + "}"
-
-
-def _fmt(value: float) -> str:
-    if value == float("inf"):
-        return "+Inf"
-    if isinstance(value, float) and value.is_integer():
-        return str(int(value))
-    return repr(value)
-
-
 def render_fleet_prometheus(merged: dict[str, Any]) -> str:
     """Prometheus text exposition of a merged registry document."""
     lines: list[str] = []
@@ -406,139 +370,19 @@ def render_fleet_prometheus(merged: dict[str, Any]) -> str:
                 for bound, cumulative in ordered:
                     lines.append(
                         f"{name}_bucket"
-                        f"{_render_labels({**labels, 'le': bound})} {cumulative}"
+                        f"{render_labels({**labels, 'le': bound})} {cumulative}"
                     )
                 lines.append(
-                    f"{name}_sum{_render_labels(labels)} "
-                    f"{_fmt(round(float(sample.get('sum', 0.0)), 9))}"
+                    f"{name}_sum{render_labels(labels)} "
+                    f"{format_value(round(float(sample.get('sum', 0.0)), 9))}"
                 )
                 lines.append(
-                    f"{name}_count{_render_labels(labels)} "
+                    f"{name}_count{render_labels(labels)} "
                     f"{int(sample.get('count', 0))}"
                 )
             else:
                 lines.append(
-                    f"{name}{_render_labels(labels)} "
-                    f"{_fmt(float(sample.get('value', 0.0)))}"
+                    f"{name}{render_labels(labels)} "
+                    f"{format_value(float(sample.get('value', 0.0)))}"
                 )
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-# -- the `index serve-status` subcommand --------------------------------------
-
-
-def fetch_serve_status(url: str, timeout: float = 5.0) -> dict[str, Any]:
-    """GET the ``/statusz`` fleet document of a running query service."""
-    import urllib.error
-    import urllib.request
-
-    if not url.rstrip("/").endswith("/statusz"):
-        url = url.rstrip("/") + "/statusz"
-    try:
-        with urllib.request.urlopen(url, timeout=timeout) as response:
-            body = response.read().decode("utf-8")
-    except (urllib.error.URLError, OSError, ValueError) as exc:
-        reason = getattr(exc, "reason", exc)
-        raise ServeStatusError(
-            f"cannot reach query service at {url}: {reason}"
-        ) from None
-    try:
-        doc = json.loads(body)
-    except json.JSONDecodeError:
-        raise ServeStatusError(f"{url} did not return JSON") from None
-    if not isinstance(doc, dict) or "fleet" not in doc:
-        raise ServeStatusError(
-            f"{url} is not a serve /statusz document (no fleet section)"
-        )
-    return doc
-
-
-def load_serve_status_source(source: str) -> dict[str, Any]:
-    """Dispatch on the source shape: URL -> ``/statusz``, else a
-    ``--status-dir`` directory of worker snapshots."""
-    if source.startswith(("http://", "https://")):
-        return fetch_serve_status(source)
-    path = str(source)
-    if not os.path.isdir(path):
-        raise ServeStatusError(
-            f"no such status directory: {path} "
-            "(pass the serve --status-dir, or an http://host:port URL)"
-        )
-    aggregator = ServeAggregator()
-    scan = aggregator.read_snapshots(path)
-    if not scan.snapshots and scan.skipped == 0:
-        raise ServeStatusError(
-            f"no worker snapshots in {path} "
-            "(is the fleet running with --status-dir?)"
-        )
-    return aggregator.fleet_doc(scan.snapshots, skipped=scan.skipped)
-
-
-def serve_status_state(
-    doc: dict[str, Any], stale_after_s: float = 15.0
-) -> StatusState:
-    """``ok`` / ``degraded`` with one reason line per finding."""
-    reasons: list[str] = []
-    fleet = doc.get("fleet") or {}
-    workers = doc.get("workers") or []
-    if not workers:
-        reasons.append("no worker snapshots")
-    skipped = int(fleet.get("skipped_files", doc.get("skipped_files", 0)) or 0)
-    if skipped:
-        reasons.append(f"{skipped} snapshot file(s) skipped")
-    if stale_after_s > 0:
-        for worker in workers:
-            age = worker.get("age_s")
-            if not worker.get("live") and age is not None and age > stale_after_s:
-                reasons.append(
-                    f"worker {worker.get('worker')} snapshot is {age:.1f}s old"
-                )
-    return StatusState("degraded" if reasons else "ok", reasons)
-
-
-def render_serve_status(
-    doc: dict[str, Any], state: StatusState | None = None
-) -> str:
-    """The per-worker + fleet table for ``index serve-status``."""
-    fleet = doc.get("fleet") or {}
-    workers = doc.get("workers") or []
-    latency = fleet.get("latency") or {}
-
-    def _ms(key: str) -> str:
-        value = latency.get(key)
-        return f"<={value:g} ms" if isinstance(value, (int, float)) else "-"
-
-    versions = {
-        w.get("index_version") for w in workers if w.get("index_version")
-    }
-    lines = [
-        f"fleet:   {fleet.get('workers', 0)} worker(s)  "
-        f"{fleet.get('requests', 0):,} requests  "
-        f"{fleet.get('errors', 0):,} errors  "
-        f"{fleet.get('open_connections', 0):,} open conns",
-        f"index:   {', '.join(sorted(versions)) if versions else '(none loaded)'}"
-        + ("  [MIXED VERSIONS]" if len(versions) > 1 else ""),
-        f"latency: p50 {_ms('p50_ms')}  p99 {_ms('p99_ms')}  "
-        f"over {latency.get('count', 0):,} request(s)",
-    ]
-    if state is not None:
-        suffix = f"  ({'; '.join(state.reasons)})" if state.reasons else ""
-        lines.append(f"state:   {state.state}{suffix}")
-    if fleet.get("skipped_files"):
-        lines.append(f"skipped: {fleet['skipped_files']} snapshot file(s)")
-    header = (
-        f"{'worker':<8} {'pid':>7} {'age s':>7} {'requests':>10} "
-        f"{'errors':>7} {'conns':>6}"
-    )
-    lines += [header, "-" * len(header)]
-    for worker in workers:
-        age = "live" if worker.get("live") else (
-            f"{worker['age_s']:.1f}" if worker.get("age_s") is not None else "?"
-        )
-        lines.append(
-            f"{str(worker.get('worker', '?')):<8} "
-            f"{str(worker.get('pid', '-')):>7} {age:>7} "
-            f"{worker.get('requests', 0):>10,} {worker.get('errors', 0):>7,} "
-            f"{worker.get('open_connections', 0):>6,}"
-        )
-    return "\n".join(lines)

@@ -16,6 +16,12 @@ body, if_none_match)``, :meth:`IntelHandlerCore.handle` returns one
 matrix over HTTP and compares every status and body with a fresh
 in-process core fed the same requests; ``benchmarks/bench_serve.py``
 re-asserts it on the benchmark index.
+
+The ops probes (:data:`PROBE_ROUTES`: ``/metrics /healthz /readyz
+/statusz``) are answered from a *health source*.  Under ``serve`` that
+is the core itself: its index and its fleet view.  A pipeline run's
+``--serve-metrics`` port is a core with no index whose health source is
+the run's :class:`~repro.obs.live.LiveOps`; it serves the probes only.
 """
 
 from __future__ import annotations
@@ -43,10 +49,14 @@ from repro.serve.ratelimit import ClientRateLimiter
 
 __all__ = ["IntelHandlerCore", "ServeResponse"]
 
+#: The ops probes every core answers from its health source, in the
+#: order a pipeline run's 404 lists them.
+PROBE_ROUTES = ("/metrics", "/healthz", "/readyz", "/statusz")
+
 #: Endpoint label values (route templates, so cardinality stays fixed).
 _ENDPOINTS = (
     "/v1/address", "/v1/domain", "/v1/screen", "/v1/families",
-    "/v1/index", "/healthz", "/statusz", "/metrics", "other",
+    "/v1/index", *PROBE_ROUTES, "other",
 )
 
 #: Every route the service answers, as shown in 404 bodies and verified
@@ -124,8 +134,12 @@ class IntelHandlerCore:
         slow_request_ms: float = 500.0,
         worker_id: int = 0,
         status_dir: str | None = None,
+        health=None,
     ) -> None:
         self.obs = obs if obs is not None else Observability.disabled()
+        #: What the probes report: this core's own fleet view under
+        #: ``serve``, a pipeline run's ``LiveOps`` on its probe port.
+        self.health = health if health is not None else self
         self.max_batch = max_batch
         self.cache_size = cache_size
         self.max_body_bytes = max_body_bytes
@@ -320,9 +334,7 @@ class IntelHandlerCore:
             candidate = "/v1/" + parts[2]
             return candidate if candidate in _ENDPOINTS else "other"
         path = path.rstrip("/") or "/"
-        if path in ("/healthz", "/statusz", "/metrics"):
-            return path
-        return "other"
+        return path if path in PROBE_ROUTES else "other"
 
     def count_request(self, endpoint: str) -> None:
         self.metrics.requests[endpoint].inc()
@@ -397,19 +409,21 @@ class IntelHandlerCore:
         """Route one admitted request to its response (pure, no I/O)."""
         raw_path, _, query = target.partition("?")
         path = raw_path.rstrip("/") or "/"
-        if path == "/healthz":
-            return self._healthz()
-        # The fleet views answer even with no index loaded — an operator
+        # The probes answer even with no index loaded — an operator
         # diagnosing a worker that failed to load needs them most then.
-        if path == "/statusz":
-            return self._statusz(method)
-        if path == "/metrics":
-            return self._fleet_metrics(method)
+        if path in PROBE_ROUTES:
+            return self._probe(method, path)
         # Everything under /v1 needs a loaded index; resolve the engine
         # exactly once so a concurrent hot-reload cannot split a request
         # across index versions.
         engine = self._engine
         if engine is None:
+            if self.health is not self:
+                # A pipeline run's probe port serves the probes only.
+                return self._json(404, {
+                    "error": f"no such endpoint: {path}",
+                    "endpoints": list(PROBE_ROUTES),
+                })
             return self._json(503, {
                 "error": "no intelligence index loaded",
                 "hint": "build one with `daas-repro index build` and "
@@ -467,8 +481,8 @@ class IntelHandlerCore:
         """Atomically publish this worker's registry to ``--status-dir``.
 
         Called eagerly at startup, periodically while serving, and once
-        more at shutdown, so sibling workers (and ``index serve-status``)
-        always find a recent snapshot.  Failures are logged and counted,
+        more at shutdown, so sibling workers (and ``live-status``) always
+        find a recent snapshot.  Failures are logged and counted,
         never raised — publishing status must not take down serving.
         """
         if not self.status_dir:
@@ -503,34 +517,48 @@ class IntelHandlerCore:
         )
         return SnapshotScan(snapshots=[own] + scan.snapshots, skipped=scan.skipped)
 
-    def _statusz(self, method: str) -> ServeResponse:
-        if method != "GET":
-            return self._json(405, {"error": "use GET for /statusz"})
+    # -- serve's health source: this worker's index and fleet view ----------
+
+    def health_doc(self) -> dict[str, Any]:
+        engine = self._engine
+        if engine is None:
+            return {"status": "no-index"}
+        return {"status": "ok", "index_version": engine.index_version}
+
+    def ready(self) -> bool:
+        return self._engine is not None
+
+    def status_doc(self) -> dict[str, Any]:
         scan = self.fleet_snapshots()
         doc = self.aggregator.fleet_doc(scan.snapshots, skipped=scan.skipped)
         doc.pop("metrics", None)  # the raw registry is what /metrics is for
-        return self._json(200, doc)
+        return doc
 
-    def _fleet_metrics(self, method: str) -> ServeResponse:
-        if method != "GET":
-            return self._json(405, {"error": "use GET for /metrics"})
+    def exposition(self) -> str:
         scan = self.fleet_snapshots()
-        merged = self.aggregator.merge(scan.snapshots)
-        return ServeResponse(
-            200,
-            render_fleet_prometheus(merged).encode("utf-8"),
-            PROMETHEUS_CONTENT_TYPE,
-        )
+        return render_fleet_prometheus(self.aggregator.merge(scan.snapshots))
 
     # -- endpoint bodies -----------------------------------------------------
 
-    def _healthz(self) -> ServeResponse:
-        engine = self._engine
-        if engine is None:
-            return self._json(503, {"status": "no-index"})
-        return self._json(200, {
-            "status": "ok", "index_version": engine.index_version,
-        })
+    def _probe(self, method: str, path: str) -> ServeResponse:
+        """One of :data:`PROBE_ROUTES`, answered from the health source:
+        a health document whose ``status`` is ``"ok"`` is 200 and any
+        other 503; readiness likewise; the status document and the
+        exposition text only to GET."""
+        health = self.health
+        if path == "/healthz":
+            doc = health.health_doc()
+            return self._json(200 if doc.get("status") == "ok" else 503, doc)
+        if path == "/readyz":
+            ready = health.ready()
+            return self._json(200 if ready else 503, {"ready": ready})
+        if method != "GET":
+            return self._json(405, {"error": f"use GET for {path}"})
+        if path == "/statusz":
+            return self._json(200, health.status_doc())
+        return ServeResponse(
+            200, health.exposition().encode("utf-8"), PROMETHEUS_CONTENT_TYPE
+        )
 
     def _address_doc(self, engine: QueryEngine, addr: str) -> dict:
         intel = engine.lookup_address(addr)

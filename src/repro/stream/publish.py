@@ -25,7 +25,8 @@ index they started with.
 Freshness is a first-class signal: ``daas_stream_staleness_seconds``
 gauges the age of the published index, and when it exceeds the
 configured bound the run's health degrades (reason ``stream.stale``) —
-visible on ``/healthz``, ``/readyz`` and ``/statusz`` — recovering
+visible on ``/healthz`` and ``/statusz``, which re-check the bound when
+probed; ``/readyz`` is a startup latch and stays up — recovering
 automatically on the next publish.
 """
 

@@ -1,25 +1,34 @@
-"""The live HTTP endpoint and the LiveOps bundle around it.
+"""A run's probe port and the LiveOps bundle around it.
 
-Covers the ISSUE acceptance paths: every endpoint answers, `/metrics`
-is scrape-able mid-run, `/healthz` flips to degraded via an injected
-clock (no sleeps), the CLI serves on an ephemeral port, and — the
-cardinal rule — the dataset is byte-identical with the live layer on
-or off.
+Covers the acceptance paths: every endpoint answers, `/metrics` is
+scrape-able mid-run, `/healthz` flips to degraded via an injected
+clock (no sleeps), health is computed when a probe asks, the CLI
+serves on an ephemeral port and fails in one line on a taken one,
+and — the cardinal rule — the dataset is byte-identical with the live
+layer on or off.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import socket
+import subprocess
+import sys
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.api import build_dataset
-from repro.cli import main
+from repro.cli import _StreamLiveBridge, main
 from repro.obs import Observability
 from repro.obs.live import LiveOps, parse_alert_rules
 from repro.runtime import ExecutionEngine
+from repro.serve import IntelIndex
+from repro.stream import StreamPublisher
 
 
 class FakeClock:
@@ -92,9 +101,9 @@ class TestEndpoints:
         assert "# TYPE daas_pipeline_events_total counter" in body
         assert 'daas_pipeline_events_total{event="x"} 7' in body
         # scrapes count themselves (the in-flight request included)
-        assert 'daas_live_scrapes_total{path="/metrics"} 1' in body
+        assert 'daas_serve_requests_total{endpoint="/metrics"} 1' in body
         code, body, _ = get(live.server.url + "/metrics")
-        assert 'daas_live_scrapes_total{path="/metrics"} 2' in body
+        assert 'daas_serve_requests_total{endpoint="/metrics"} 2' in body
 
     def test_statusz_document(self, live):
         live.obs.stage_started("seed")
@@ -130,7 +139,7 @@ class TestEndpoints:
         doc = json.loads(body)
         assert "/statusz" in doc["endpoints"]
         code, body, _ = get(live.server.url + "/metrics")
-        assert 'daas_live_scrapes_total{path="other"} 1' in body
+        assert 'daas_serve_requests_total{endpoint="other"} 1' in body
 
     def test_live_status_cli_over_url(self, live, capsys):
         live.obs.stage_started("seed")
@@ -144,6 +153,43 @@ class TestEndpoints:
         live.clock.advance(11.0)
         assert main(["live-status", live.server.url]) == 2
         assert "stage.stalled:snowball" in capsys.readouterr().out
+
+
+class TestProbesComputeHealthWhenAsked:
+    def test_wedged_stream_tick_degrades_healthz_not_readyz(self):
+        """No snapshotter and no tick since the last publish: the probe
+        itself runs the stream's staleness check."""
+        clock = FakeClock(1000.0)
+        obs = Observability(run_id="wedged")
+        publisher = StreamPublisher(obs=obs, staleness_bound_s=30.0,
+                                    clock=clock)
+        bridge = _StreamLiveBridge(ExecutionEngine(obs=obs), publisher)
+        with LiveOps(obs, serve_port=0, clock=clock, monotonic=clock,
+                     before_tick=bridge.publish_metrics) as live:
+            publisher.health = live.status
+            obs.stage_started("stream.tick")
+            publisher.publish(IntelIndex())
+            clock.advance(120.0)  # stuck inside the tick, 4x the bound
+            code, body, _ = get(live.server.url + "/healthz")
+            assert code == 503
+            assert json.loads(body) == {
+                "status": "degraded", "reasons": ["stream.stale"],
+            }
+            code, body, _ = get(live.server.url + "/readyz")
+            assert code == 200 and json.loads(body) == {"ready": True}
+            doc = json.loads(get(live.server.url + "/statusz")[1])
+            assert doc["status"]["degraded"] == ["stream.stale"]
+
+    def test_metrics_scrape_refreshes_before_answering(self):
+        refreshed = []
+        obs = Observability(run_id="fresh")
+        with LiveOps(obs, serve_port=0,
+                     before_tick=lambda: refreshed.append(1)) as live:
+            get(live.server.url + "/readyz")
+            assert refreshed == []  # readiness is a latch, not a refresh
+            for path in ("/metrics", "/healthz", "/statusz"):
+                get(live.server.url + path)
+            assert len(refreshed) == 3
 
 
 class TestLiveOpsBundle:
@@ -252,6 +298,37 @@ def test_cli_build_dataset_with_live_flags(tmp_path, capsys):
     # and live-status renders the finished run from the file
     assert main(["live-status", str(snaps)]) == 0
     assert "ready:   yes" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", [
+    ["build-dataset"], ["webdetect"], ["stream", "run"],
+])
+def test_cli_taken_port_is_one_line(command, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # stream run's default --out lands here
+    with socket.socket() as held:
+        held.bind(("127.0.0.1", 0))
+        held.listen(1)
+        port = held.getsockname()[1]
+        code = main(command + ["--scale", "0.005", "--seed", "3",
+                               "--serve-metrics", str(port)])
+    captured = capsys.readouterr()
+    assert code == 1
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1, captured.err
+    assert lines[0].startswith(f"cannot bind 127.0.0.1:{port}: ")
+
+
+def test_started_live_ops_loads_no_http_server():
+    """A run's probe port is the asyncio transport, not ``http.server``."""
+    code = ("import sys; from repro.obs import Observability; "
+            "from repro.obs.live import LiveOps; "
+            "live = LiveOps(Observability(), serve_port=0).start(); "
+            "live.stop(); "
+            "print(sorted(m for m in sys.modules if m == 'http.server'))")
+    env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 def test_cli_rejects_bad_alert_file(tmp_path, capsys):

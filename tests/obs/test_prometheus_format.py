@@ -260,7 +260,7 @@ def test_served_metrics_body_is_conformant():
     families = parse_exposition(body)
     assert families["daas_hostile"]["samples"][0][1]["path"] == 'a"b\\c\nd'
     assert families["daas_lat_seconds"]["kind"] == "histogram"
-    assert families["daas_live_scrapes_total"]["samples"]
+    assert families["daas_serve_requests_total"]["samples"]
 
 
 @pytest.fixture(scope="module")

@@ -226,7 +226,7 @@ class TestStatusReader:
 
     def test_cli_missing_file(self, tmp_path, capsys):
         message = self.cli_error(tmp_path / "nope.jsonl", capsys)
-        assert "cannot read snapshot file" in message
+        assert "no such file or directory" in message
 
     def test_cli_empty_file(self, tmp_path, capsys):
         path = tmp_path / "empty.jsonl"

@@ -477,19 +477,16 @@ class TestFaultedBuildParity:
 class TestMetricsEndpoint:
     def test_retry_and_fault_metrics_served(self, small_world):
         """Acceptance: resilience metrics appear on a live /metrics scrape."""
-        from repro.obs.live import MetricsServer
+        from repro.obs.live import LiveOps
 
         obs = Observability(run_id="serve")
         engine = resilient_engine(drop_plan(rate=0.15), obs=obs)
         build_dataset(small_world, engine=engine)
 
-        server = MetricsServer(obs, port=0)
-        server.start()
-        try:
-            with urllib.request.urlopen(server.url + "/metrics", timeout=5.0) as r:
+        with LiveOps(obs, serve_port=0) as live:
+            with urllib.request.urlopen(live.server.url + "/metrics",
+                                        timeout=5.0) as r:
                 body = r.read().decode()
-        finally:
-            server.stop()
         assert "daas_retry_attempts_total" in body
         assert "daas_upstream_faults_total" in body
         assert "daas_faults_injected_total" in body

@@ -241,7 +241,7 @@ class TestServe:
 
     def test_import_skips_live_ops(self):
         """``serve`` starts without loading the pipeline live-ops layer
-        (alerts, watchdog, MetricsServer) or the stdlib ``http.server``."""
+        (alerts, watchdog, snapshots) or the stdlib ``http.server``."""
         code = ("import sys, repro.serve; print(sorted(m for m in sys.modules "
                 "if m == 'http.server' or m.startswith('repro.obs.live')))")
         result = subprocess.run([sys.executable, "-c", code], env=_child_env(),

@@ -1,4 +1,4 @@
-"""Fleet aggregation: snapshots, merging, /statusz, `index serve-status`.
+"""Fleet aggregation: snapshots, merging, /statusz, `live-status`.
 
 The acceptance matrix for the pre-fork status plane:
 
@@ -9,7 +9,7 @@ The acceptance matrix for the pre-fork status plane:
   ``daas_serve_agg_skipped_files``), never crashes it;
 * any worker's ``/statusz`` and ``/metrics`` answer for the whole
   fleet (live registry + sibling snapshots);
-* ``daas-repro index serve-status`` follows the ``live-status`` exit
+* ``daas-repro live-status`` renders the fleet with its exit
   conventions — 0 ok, 2 degraded, 1 one-line error — from either a
   serve URL or the ``--status-dir`` directly, including against a real
   forked ``--serve-workers 2`` fleet under the ``multiproc`` marker.
@@ -26,13 +26,15 @@ import pytest
 
 from repro.cli import main
 from repro.obs import Observability
+from repro.obs.live.status import (
+    LiveStatusError,
+    fetch_status,
+    load_status_source,
+    status_state,
+)
 from repro.serve import AsyncIntelServer, ServeAggregator
 from repro.serve.fleet import (
-    ServeStatusError,
-    fetch_serve_status,
-    load_serve_status_source,
     render_fleet_prometheus,
-    serve_status_state,
     snapshot_path,
     write_worker_snapshot,
 )
@@ -274,7 +276,7 @@ class TestServeStatusCommand:
 
     def test_fresh_directory_exits_0(self, capsys, tmp_path):
         self._write_fleet(tmp_path)
-        assert main(["index", "serve-status", str(tmp_path)]) == 0
+        assert main(["live-status", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "2 worker(s)" in out
         assert "3 requests" in out
@@ -283,32 +285,32 @@ class TestServeStatusCommand:
 
     def test_stale_snapshot_exits_2(self, capsys, tmp_path):
         self._write_fleet(tmp_path, ages=(0.0, 1000.0))
-        assert main(["index", "serve-status", str(tmp_path)]) == 2
+        assert main(["live-status", str(tmp_path)]) == 2
         out = capsys.readouterr().out
         assert "state:   degraded" in out
         assert "snapshot is" in out
 
     def test_stale_after_0_disables_staleness(self, capsys, tmp_path):
         self._write_fleet(tmp_path, ages=(0.0, 1000.0))
-        assert main(["index", "serve-status", str(tmp_path),
+        assert main(["live-status", str(tmp_path),
                      "--stale-after", "0"]) == 0
         capsys.readouterr()
 
     def test_skipped_file_exits_2(self, capsys, tmp_path):
         self._write_fleet(tmp_path)
         (tmp_path / "worker-9.json").write_text('{"torn')
-        assert main(["index", "serve-status", str(tmp_path)]) == 2
+        assert main(["live-status", str(tmp_path)]) == 2
         out = capsys.readouterr().out
         assert "1 snapshot file(s) skipped" in out
 
     def test_missing_directory_exits_1(self, capsys, tmp_path):
-        assert main(["index", "serve-status", str(tmp_path / "absent")]) == 1
+        assert main(["live-status", str(tmp_path / "absent")]) == 1
         err = capsys.readouterr().err
-        assert "no such status directory" in err
+        assert "no such file or directory" in err
         assert "\n" == err[-1] and err.count("\n") == 1  # one-line error
 
     def test_empty_directory_exits_1(self, capsys, tmp_path):
-        assert main(["index", "serve-status", str(tmp_path)]) == 1
+        assert main(["live-status", str(tmp_path)]) == 1
         assert "no worker snapshots" in capsys.readouterr().err
 
     def test_unreachable_url_exits_1(self, capsys):
@@ -316,9 +318,9 @@ class TestServeStatusCommand:
         sock.bind(("127.0.0.1", 0))
         port = sock.getsockname()[1]
         sock.close()
-        assert main(["index", "serve-status",
+        assert main(["live-status",
                      f"http://127.0.0.1:{port}"]) == 1
-        assert "cannot reach query service" in capsys.readouterr().err
+        assert "cannot reach live server" in capsys.readouterr().err
 
     def test_url_against_live_server_exits_0(self, capsys, intel_index,
                                              tmp_path):
@@ -328,7 +330,7 @@ class TestServeStatusCommand:
             client = RawClient(server.port)
             assert client.request("GET", "/healthz")[0] == 200
             client.close()
-            assert main(["index", "serve-status",
+            assert main(["live-status",
                          f"http://127.0.0.1:{server.port}"]) == 0
         finally:
             server.stop()
@@ -337,15 +339,31 @@ class TestServeStatusCommand:
         assert "live" in out
         assert intel_index.version in out
 
+    def test_url_with_stale_sibling_exits_2(self, capsys, intel_index,
+                                            tmp_path):
+        """A worker's /statusz is a fleet document: live-status judges
+        its siblings' snapshot ages, not a run's health."""
+        self._write_fleet(tmp_path, ages=(0.0, 1000.0))
+        server = AsyncIntelServer(
+            index=intel_index, worker_id=0, status_dir=str(tmp_path)).start()
+        try:
+            assert main(["live-status",
+                         f"http://127.0.0.1:{server.port}"]) == 2
+        finally:
+            server.stop()
+        out = capsys.readouterr().out
+        assert "2 worker(s)" in out
+        assert "worker 1 snapshot is" in out
+
     def test_fetch_appends_statusz_and_validates_payload(self, intel_index):
         server = AsyncIntelServer(index=intel_index).start()
         try:
             # A bare base URL gets /statusz appended automatically.
-            doc = fetch_serve_status(f"http://127.0.0.1:{server.port}")
+            doc = fetch_status(f"http://127.0.0.1:{server.port}")
             assert doc["fleet"]["workers"] == 1
-            # A JSON endpoint that is not a fleet document is rejected.
-            with pytest.raises(ServeStatusError):
-                load_serve_status_source(
+            # A JSON endpoint that is not a status document is rejected.
+            with pytest.raises(LiveStatusError):
+                load_status_source(
                     f"http://127.0.0.1:{server.port}/healthz")
         finally:
             server.stop()
@@ -378,7 +396,7 @@ class TestInlineFleet:
             rows = {w["worker"]: w for w in doc["workers"]}
             assert rows[0]["live"] and not rows[1]["live"]
             assert rows[1]["requests"] >= 3
-            state = serve_status_state(doc)
+            state = status_state(doc)
             assert state.state == "ok"
         finally:
             a.stop()
@@ -389,7 +407,7 @@ class TestInlineFleet:
 class TestPreforkedFleetIntegration:
     def test_serve_workers_2_aggregates_via_cli(self, tmp_path, capsys):
         """A real ``daas-repro serve --serve-workers 2`` fleet, checked
-        end to end through ``index serve-status`` (URL and directory)."""
+        end to end through ``live-status`` (URL and directory)."""
         import signal
 
         if not hasattr(socket, "SO_REUSEPORT") or not hasattr(os, "fork"):
@@ -432,14 +450,14 @@ class TestPreforkedFleetIntegration:
                 time.sleep(0.1)
             assert workers_seen == 2
 
-            rc_url = main(["index", "serve-status",
+            rc_url = main(["live-status",
                            f"http://127.0.0.1:{port}", "--stale-after", "30"])
             out = capsys.readouterr().out
             assert rc_url == 0, out
             assert "2 worker(s)" in out
             assert "live" in out
 
-            rc_dir = main(["index", "serve-status", str(status_dir),
+            rc_dir = main(["live-status", str(status_dir),
                            "--stale-after", "30"])
             out = capsys.readouterr().out
             assert rc_dir == 0, out

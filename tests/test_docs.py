@@ -1,6 +1,7 @@
 """Docs stay consistent with the code: links resolve, CLI flags exist
-(on command lines and in flag tables), and the serving route inventory
-matches docs/serving.md both ways.
+(on command lines and in flag tables), every ``daas-repro`` command
+named exists, and the serving route inventory matches docs/serving.md
+both ways.
 
 Wraps ``scripts/check_docs.py`` (which also runs standalone) into the
 default pytest tier so a renamed doc or a dropped CLI flag fails CI.
@@ -57,6 +58,29 @@ def test_checker_catches_stale_table_flag(tmp_path):
     )
     errors = check_docs.run_checks(tmp_path)
     assert errors == ["docs/a.md: flag --gone not in repro/cli.py"]
+
+
+def test_checker_catches_deleted_subcommand(tmp_path):
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "src" / "repro").mkdir(parents=True)
+    (tmp_path / "src" / "repro" / "cli.py").write_text(
+        'sub = parser.add_subparsers(dest="command", required=True)\n'
+        'p = sub.add_parser("index", help="index files")\n'
+        'isub = p.add_subparsers(dest="action", required=True)\n'
+        'b = isub.add_parser("build")\n'
+        'p = sub.add_parser("live-status")\n'
+    )
+    (tmp_path / "docs" / "a.md").write_text(
+        "    daas-repro index build\n"
+        "    daas-repro live-status http://127.0.0.1:8321\n"
+        "    daas-repro index serve-status /var/run/daas-status\n"
+        "Prose naming `daas-repro serve-status` counts too.\n"
+    )
+    errors = check_docs.run_checks(tmp_path)
+    assert errors == [
+        "docs/a.md: command daas-repro index serve-status not in repro/cli.py",
+        "docs/a.md: command daas-repro serve-status not in repro/cli.py",
+    ]
 
 
 def test_checker_skips_external_links(tmp_path):
