@@ -1,8 +1,9 @@
 #!/usr/bin/env python
 """Public-API surface checker — the PR-4 redesign must not regress.
 
-Two rules, enforced over the redesigned pipeline API (the ``repro``,
-``repro.api``, ``repro.runtime`` and ``repro.serve`` entry points):
+Three rules.  The first two are read from the source, over the
+redesigned pipeline API (the ``repro``, ``repro.api``,
+``repro.runtime`` and ``repro.serve`` entry points):
 
 1. **Documented**: every name exported through those modules' ``__all__``
    must appear somewhere in the documentation corpus (``README.md``,
@@ -15,6 +16,15 @@ Two rules, enforced over the redesigned pipeline API (the ``repro``,
    (``DatasetBuildResult``, ``ResumeInfo``, …).  Homogeneous variadic
    tuples (``tuple[X, ...]``) are sequences, not anonymous records, and
    are allowed.
+3. **Every export resolves**: in a fresh interpreter, every name in the
+   ``__all__`` of every package under ``src/repro`` resolves through
+   ``getattr`` to the object its defining module holds.  The defining
+   module is the one the package's ``__init__`` names for it: a
+   ``from M import name`` line, or the submodule an
+   :func:`repro._lazy.lazy_exports` map lists it under.  Lazy exports
+   are resolved only on first use, so a map entry naming a moved or
+   misspelt attribute would otherwise pass the first two rules and fail
+   its first caller.
 
 Run directly (``python scripts/check_api_surface.py``, exits non-zero on
 problems) or through ``tests/test_api_surface.py``, which wires it into
@@ -25,6 +35,9 @@ the default pytest run next to ``check_docs.py`` /
 from __future__ import annotations
 
 import ast
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -136,18 +149,78 @@ def check_tuple_returns(root: Path = REPO_ROOT) -> list[str]:
     return errors
 
 
+def export_sources(path: Path, package: str) -> dict[str, str]:
+    """Each name in a package ``__init__``'s ``__all__``, mapped to the
+    module its ``from M import name`` line or ``lazy_exports`` map names
+    (the package itself for a name it defines)."""
+    module_of: dict[str, str] = {}
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            for alias in node.names:
+                module_of[alias.asname or alias.name] = node.module
+        elif (
+            isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Call)
+            and isinstance(node.value.func, ast.Name)
+            and node.value.func.id == "lazy_exports"
+        ):
+            sources = ast.literal_eval(node.value.args[2])
+            for module, names in sources.items():
+                module_of.update(dict.fromkeys(names, module))
+    return {name: module_of.get(name, package) for name in exported_names(path)}
+
+
+#: Run in a fresh interpreter: resolves every ``package -> {name: module}``
+#: entry of its JSON argument and prints the failures as a JSON list.
+_RESOLVE = """
+import importlib, json, sys
+errors = []
+for package, sources in json.loads(sys.argv[1]).items():
+    for name, source in sources.items():
+        try:
+            value = getattr(importlib.import_module(package), name)
+            held = getattr(importlib.import_module(source), name)
+        except Exception as exc:
+            errors.append(f"{package}: export {name!r} does not resolve: {exc!r}")
+            continue
+        if value is not held:
+            errors.append(f"{package}: export {name!r} is not {source}.{name}")
+print(json.dumps(errors))
+"""
+
+
+def check_exports_resolve(root: Path = REPO_ROOT) -> list[str]:
+    src = root / "src"
+    exports = {}
+    for path in sorted((src / "repro").rglob("__init__.py")):
+        package = ".".join(path.parent.relative_to(src).parts)
+        exports[package] = export_sources(path, package)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH", "")) if p
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", _RESOLVE, json.dumps(exports)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    if child.returncode != 0:
+        return [f"resolving exports failed: {child.stderr.strip()[-2000:]}"]
+    return json.loads(child.stdout)
+
+
 def run_checks(root: Path = REPO_ROOT) -> list[str]:
     return check_documented(root) + check_tuple_returns(root)
 
 
 def main() -> int:
-    errors = run_checks()
+    errors = run_checks() + check_exports_resolve()
     for error in errors:
         print(error, file=sys.stderr)
     if errors:
         return 1
     exported = sum(len(exported_names(REPO_ROOT / rel)) for rel in PUBLIC_MODULES)
-    print(f"API surface OK: {exported} public exports documented, no tuple returns")
+    print(f"API surface OK: {exported} public exports documented, no tuple "
+          "returns, every package export resolves")
     return 0
 
 

@@ -1,38 +1,6 @@
 """Measurement analyses over the DaaS dataset (paper §6-§7, §9)."""
 
-from repro.analysis.affiliates import FIG7_EDGES, AffiliateAnalyzer, AffiliateReport
-from repro.analysis.context import AnalysisContext
-from repro.analysis.families import (
-    ClusteringResult,
-    ContractImplementation,
-    Family,
-    FamilyClusterer,
-)
-from repro.analysis.guard import GuardVerdict, TransactionIntent, WalletGuard
-from repro.analysis.laundering import (
-    LaunderingAnalyzer,
-    LaunderingReport,
-    LaunderingRoute,
-    SINK_CATEGORIES,
-)
-from repro.analysis.plots import bar_chart, histogram, lorenz_ascii
-from repro.analysis.operators import OperatorAnalyzer, OperatorReport
-from repro.analysis.reporting import (
-    fmt_month,
-    fmt_pct,
-    fmt_usd,
-    paper_vs_measured,
-    render_table,
-)
-from repro.analysis.stats import (
-    bucket_shares,
-    gini,
-    lorenz_curve,
-    min_head_fraction_for_share,
-    percentile,
-    top_k_share,
-)
-from repro.analysis.victims import FIG6_EDGES, VictimAnalyzer, VictimIncident, VictimReport
+from repro._lazy import lazy_exports
 
 __all__ = [
     "FIG7_EDGES",
@@ -71,3 +39,27 @@ __all__ = [
     "VictimIncident",
     "VictimReport",
 ]
+
+__getattr__ = lazy_exports(__name__, globals(), {
+    "repro.analysis.affiliates": ("FIG7_EDGES", "AffiliateAnalyzer", "AffiliateReport"),
+    "repro.analysis.context": ("AnalysisContext",),
+    "repro.analysis.families": (
+        "ClusteringResult", "ContractImplementation", "Family", "FamilyClusterer",
+    ),
+    "repro.analysis.guard": ("GuardVerdict", "TransactionIntent", "WalletGuard"),
+    "repro.analysis.laundering": (
+        "LaunderingAnalyzer", "LaunderingReport", "LaunderingRoute", "SINK_CATEGORIES",
+    ),
+    "repro.analysis.plots": ("bar_chart", "histogram", "lorenz_ascii"),
+    "repro.analysis.operators": ("OperatorAnalyzer", "OperatorReport"),
+    "repro.analysis.reporting": (
+        "fmt_month", "fmt_pct", "fmt_usd", "paper_vs_measured", "render_table",
+    ),
+    "repro.analysis.stats": (
+        "bucket_shares", "gini", "lorenz_curve", "min_head_fraction_for_share",
+        "percentile", "top_k_share",
+    ),
+    "repro.analysis.victims": (
+        "FIG6_EDGES", "VictimAnalyzer", "VictimIncident", "VictimReport",
+    ),
+})

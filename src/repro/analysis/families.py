@@ -16,14 +16,39 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from repro.analysis.context import AnalysisContext
 from repro.analysis.victims import VictimReport
 
-__all__ = ["Family", "ClusteringResult", "FamilyClusterer", "ContractImplementation"]
+__all__ = [
+    "Family",
+    "ClusteringResult",
+    "FamilyClusterer",
+    "ContractImplementation",
+    "connected_components",
+]
 
 _DAY = 86_400
+
+
+def connected_components(adjacency: dict[str, set[str]]) -> list[set[str]]:
+    """Connected components of an undirected adjacency map (every edge
+    listed under both ends), in the order of each component's first key
+    in ``adjacency``."""
+    seen: set[str] = set()
+    components = []
+    for start in adjacency:
+        if start in seen:
+            continue
+        component = {start}
+        frontier = [start]
+        while frontier:
+            for neighbor in adjacency[frontier.pop()]:
+                if neighbor not in component:
+                    component.add(neighbor)
+                    frontier.append(neighbor)
+        seen |= component
+        components.append(component)
+    return components
 
 
 @dataclass
@@ -47,8 +72,11 @@ class Family:
 @dataclass
 class ClusteringResult:
     families: list[Family] = field(default_factory=list)
-    #: The operator graph used for clustering (for inspection/tests).
-    operator_graph: nx.Graph = field(default_factory=nx.Graph)
+    #: The operator graph the families are the connected components of,
+    #: as an adjacency map: every operator maps to the operators it
+    #: shares an edge with (a direct transfer or a labelled phishing
+    #: counterparty), and isolated operators map to an empty set.
+    operator_graph: dict[str, set[str]] = field(default_factory=dict)
 
     @property
     def family_count(self) -> int:
@@ -93,11 +121,8 @@ class FamilyClusterer:
     def cluster(self, victim_report: VictimReport | None = None) -> ClusteringResult:
         graph = self._build_operator_graph()
         result = ClusteringResult(operator_graph=graph)
-
-        components = [set(c) for c in nx.connected_components(graph)]
-        for component in components:
-            family = self._build_family(component)
-            result.families.append(family)
+        for component in connected_components(graph):
+            result.families.append(self._build_family(component))
 
         self._assign_members(result)
         if victim_report is not None:
@@ -105,13 +130,16 @@ class FamilyClusterer:
         result.families.sort(key=lambda f: -len(f.victims) if f.victims else 0)
         return result
 
-    def _build_operator_graph(self) -> nx.Graph:
+    def _build_operator_graph(self) -> dict[str, set[str]]:
         """Step 1: operator nodes; edges from direct transactions or a
         shared Etherscan-labeled phishing counterparty."""
         operators = self.ctx.dataset.operators
         explorer = self.ctx.explorer
-        graph = nx.Graph()
-        graph.add_nodes_from(operators)
+        graph: dict[str, set[str]] = {op: set() for op in operators}
+
+        def add_edge(a: str, b: str) -> None:
+            graph[a].add(b)
+            graph[b].add(a)
 
         labeled_partners: dict[str, set[str]] = {op: set() for op in operators}
         for operator in operators:
@@ -124,7 +152,7 @@ class FamilyClusterer:
                 if counterparty is None or counterparty == operator:
                     continue
                 if counterparty in operators:
-                    graph.add_edge(operator, counterparty, kind="direct")
+                    add_edge(operator, counterparty)
                 elif explorer.is_labeled_phishing(counterparty):
                     labeled_partners[operator].add(counterparty)
 
@@ -133,11 +161,9 @@ class FamilyClusterer:
         for operator, partners in labeled_partners.items():
             for partner in partners:
                 by_partner.setdefault(partner, []).append(operator)
-        for partner, ops in by_partner.items():
-            anchor = ops[0]
+        for ops in by_partner.values():
             for other in ops[1:]:
-                if not graph.has_edge(anchor, other):
-                    graph.add_edge(anchor, other, kind="shared_label", via=partner)
+                add_edge(ops[0], other)
         return graph
 
     def _build_family(self, operators: set[str]) -> Family:

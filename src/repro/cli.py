@@ -56,13 +56,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.obs import Observability
-
-from repro.analysis import fmt_month, fmt_pct, fmt_usd, render_table
-from repro.analysis.laundering import LaunderingAnalyzer
+# ``repro.api``, ``repro.obs`` and ``repro.runtime`` load with the ``repro``
+# package itself (its ``__init__`` imports ``repro.api``), and several
+# commands print tables.  Every other plane is imported inside the commands
+# that run it, so ``serve`` loads no website detection, streaming,
+# laundering or risk-evaluation code.
+from repro.analysis.reporting import fmt_month, fmt_pct, fmt_usd, render_table
 from repro.api import PipelineConfig, run_pipeline
-from repro.core import ContractAnalyzer, DatasetValidator
-from repro.core.release import build_report_bundle, export_accounts_csv, export_transactions_csv
+from repro.obs import Observability
 from repro.runtime import (
     CheckpointError,
     CircuitBreaker,
@@ -75,14 +76,6 @@ from repro.runtime import (
     UpstreamError,
 )
 from repro.runtime.resilience import CRAWLER_READ_METHODS
-from repro.webdetect import (
-    PhishingSiteDetector,
-    WebWorldParams,
-    build_fingerprint_db,
-    build_web_world,
-)
-from repro.webdetect.crawler import Crawler
-from repro.webdetect.detector import tld_distribution
 
 __all__ = ["main"]
 
@@ -420,6 +413,8 @@ def _resilient_crawler(args: argparse.Namespace, web, obs: Observability):
     """The web crawler, wrapped in the same fault-injection and
     retry/breaker layers the chain upstreams get (layering: retry →
     faults → crawler)."""
+    from repro.webdetect.crawler import Crawler
+
     crawler = Crawler(web)
     plan = _fault_plan(args)
     if plan is not None:
@@ -457,6 +452,14 @@ def cmd_webdetect(args: argparse.Namespace) -> int:
 
 
 def _run_webdetect(args: argparse.Namespace, obs: Observability) -> int:
+    from repro.webdetect import (
+        PhishingSiteDetector,
+        WebWorldParams,
+        build_fingerprint_db,
+        build_web_world,
+        tld_distribution,
+    )
+
     web = build_web_world(WebWorldParams(scale=args.scale, seed=args.seed))
     try:
         crawler = _resilient_crawler(args, web, obs)
@@ -499,6 +502,8 @@ def _run_webdetect(args: argparse.Namespace, obs: Observability) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    from repro.core import ContractAnalyzer, DatasetValidator
+
     result = run_pipeline(_config(args))
     analyzer = ContractAnalyzer(result.world.rpc, result.world.explorer, result.world.oracle)
     report = DatasetValidator(analyzer).validate(result.dataset)
@@ -514,6 +519,12 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_export(args: argparse.Namespace) -> int:
     from pathlib import Path
 
+    from repro.core.release import (
+        build_report_bundle,
+        export_accounts_csv,
+        export_transactions_csv,
+    )
+
     result = run_pipeline(_config(args))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -528,6 +539,8 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 
 def cmd_laundering(args: argparse.Namespace) -> int:
+    from repro.analysis.laundering import LaunderingAnalyzer
+
     result = run_pipeline(_config(args))
     report = LaunderingAnalyzer(result.context).analyze()
     totals = report.total_by_category()
@@ -540,15 +553,26 @@ def cmd_laundering(args: argparse.Namespace) -> int:
     return 0
 
 
+def _detect_sites(args: argparse.Namespace):
+    """The §8 detector's ``(site reports, stats)`` on the flags' web world."""
+    from repro.webdetect import (
+        PhishingSiteDetector,
+        WebWorldParams,
+        build_fingerprint_db,
+        build_web_world,
+    )
+
+    web = build_web_world(WebWorldParams(scale=args.scale, seed=args.seed))
+    return PhishingSiteDetector(web, build_fingerprint_db(web)).run()
+
+
 def cmd_eval_risk(args: argparse.Namespace) -> int:
     from repro.risk import evaluate_stage_combinations
 
     result = run_pipeline(_config(args))
     site_reports = None
     if getattr(args, "with_domains", False):
-        web = build_web_world(WebWorldParams(scale=args.scale, seed=args.seed))
-        db = build_fingerprint_db(web)
-        site_reports, _ = PhishingSiteDetector(web, db).run()
+        site_reports, _ = _detect_sites(args)
     report = evaluate_stage_combinations(
         result, site_reports=site_reports, max_hops=args.max_hops
     )
@@ -573,9 +597,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         from repro.analysis.document import render_markdown_report
 
         result = run_pipeline(_config(args))
-        web = build_web_world(WebWorldParams(scale=args.scale, seed=args.seed))
-        db = build_fingerprint_db(web)
-        reports, stats = PhishingSiteDetector(web, db).run()
+        reports, stats = _detect_sites(args)
         text = render_markdown_report(result, reports, stats)
         with open(args.md, "w") as handle:
             handle.write(text)
@@ -659,9 +681,7 @@ def cmd_index_build(args: argparse.Namespace) -> int:
         result = run_pipeline(_config(args))
         site_reports = None
         if getattr(args, "with_domains", False):
-            web = build_web_world(WebWorldParams(scale=args.scale, seed=args.seed))
-            db = build_fingerprint_db(web)
-            site_reports, _ = PhishingSiteDetector(web, db).run()
+            site_reports, _ = _detect_sites(args)
         laundering_report = None
         if getattr(args, "with_laundering", False):
             laundering_report = result.trace_laundering()
@@ -693,8 +713,9 @@ class _StreamLiveBridge:
 
 
 def cmd_stream_run(args: argparse.Namespace) -> int:
-    from repro.core import SeedBuilder
+    from repro.core import ContractAnalyzer, SeedBuilder
     from repro.stream import StreamPipeline, StreamPublisher
+    from repro.webdetect import WebWorldParams, build_fingerprint_db, build_web_world
 
     obs = _obs(args)
     try:
@@ -818,7 +839,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     print(f"serving index {index.version} on http://{args.host}:{port} "
           f"[{transport}] "
           "(/v1/address /v1/domain /v1/screen /v1/families /v1/index "
-          "/healthz /statusz /metrics)", flush=True)
+          "/healthz /readyz /statusz /metrics)", flush=True)
     if workers == 1:
         return _serve_worker(args, index, sockets[0], worker_id=0, workers=1)
     pids: list[int] = []

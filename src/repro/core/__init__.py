@@ -1,20 +1,7 @@
 """The paper's core contribution: profit-sharing detection, seed dataset
 construction, snowball expansion, and the released dataset model."""
 
-from repro.core.dataset import DaaSDataset, PSTransactionRecord, Provenance
-from repro.core.fundflow import FundFlowExtractor, Transfer, extract_fund_flow, group_by_source
-from repro.core.metrics import SetMetrics, dataset_metrics, score_sets
-from repro.core.monitor import Alert, MonitorStats, StreamingMonitor
-from repro.core.pipeline import ContractAnalysis, ContractAnalyzer, split_roles
-from repro.core.profit_sharing import ProfitShareMatch, ProfitSharingClassifier, RPCClassifier
-from repro.core.ratios import (
-    DEFAULT_TOLERANCE,
-    KNOWN_OPERATOR_RATIOS_BPS,
-    match_operator_share,
-)
-from repro.core.seed import SeedBuilder, SeedReport
-from repro.core.snowball import ExpansionReport, IterationStats, SnowballExpander
-from repro.core.validation import DatasetValidator, ValidationReport
+from repro._lazy import lazy_exports
 
 __all__ = [
     "DaaSDataset",
@@ -47,3 +34,22 @@ __all__ = [
     "DatasetValidator",
     "ValidationReport",
 ]
+
+__getattr__ = lazy_exports(__name__, globals(), {
+    "repro.core.dataset": ("DaaSDataset", "PSTransactionRecord", "Provenance"),
+    "repro.core.fundflow": (
+        "FundFlowExtractor", "Transfer", "extract_fund_flow", "group_by_source",
+    ),
+    "repro.core.metrics": ("SetMetrics", "dataset_metrics", "score_sets"),
+    "repro.core.monitor": ("Alert", "MonitorStats", "StreamingMonitor"),
+    "repro.core.pipeline": ("ContractAnalysis", "ContractAnalyzer", "split_roles"),
+    "repro.core.profit_sharing": (
+        "ProfitShareMatch", "ProfitSharingClassifier", "RPCClassifier",
+    ),
+    "repro.core.ratios": (
+        "DEFAULT_TOLERANCE", "KNOWN_OPERATOR_RATIOS_BPS", "match_operator_share",
+    ),
+    "repro.core.seed": ("SeedBuilder", "SeedReport"),
+    "repro.core.snowball": ("ExpansionReport", "IterationStats", "SnowballExpander"),
+    "repro.core.validation": ("DatasetValidator", "ValidationReport"),
+})

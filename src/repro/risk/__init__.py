@@ -26,15 +26,7 @@ See ``docs/risk.md`` for the signal taxonomy, the fusion table, and the
 calibration knobs.
 """
 
-from repro.risk.collect import collect_signals
-from repro.risk.evaluate import (
-    RiskEvalReport,
-    StageComboStats,
-    evaluate_stage_combinations,
-    stage_alerts,
-)
-from repro.risk.fusion import FusedVerdict, FusionEngine, FusionTable, StageScore
-from repro.risk.signals import STAGES, EvidenceRecord, StageSignal
+from repro._lazy import lazy_exports
 
 __all__ = [
     "STAGES",
@@ -50,3 +42,13 @@ __all__ = [
     "evaluate_stage_combinations",
     "stage_alerts",
 ]
+
+__getattr__ = lazy_exports(__name__, globals(), {
+    "repro.risk.collect": ("collect_signals",),
+    "repro.risk.evaluate": (
+        "RiskEvalReport", "StageComboStats", "evaluate_stage_combinations",
+        "stage_alerts",
+    ),
+    "repro.risk.fusion": ("FusedVerdict", "FusionEngine", "FusionTable", "StageScore"),
+    "repro.risk.signals": ("STAGES", "EvidenceRecord", "StageSignal"),
+})

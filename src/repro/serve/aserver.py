@@ -59,7 +59,7 @@ import socket
 import threading
 import time
 from dataclasses import dataclass
-from http.client import responses as _REASONS
+from http import HTTPStatus
 
 from repro.obs import Observability, RequestContext
 from repro.obs.request import REQUEST_ID_HEADER
@@ -75,6 +75,10 @@ _MAX_HEADER_BYTES = 32768
 #: Requests one connection answers per event-loop turn before it lets
 #: other connections and timers run.
 _ANSWERS_PER_TURN = 32
+
+#: Status line reason phrases (the table ``http.client.responses`` holds,
+#: without importing ``http.client`` and the ``email`` package under it).
+_REASONS = {status.value: status.phrase for status in HTTPStatus}
 
 
 @dataclass(frozen=True)
@@ -476,6 +480,13 @@ class _Connection(asyncio.Protocol):
 
     def connection_made(self, transport: asyncio.BaseTransport) -> None:
         self.transport = transport
+        # asyncio turns Nagle off only on sockets created with protocol
+        # IPPROTO_TCP; ``socket.create_server`` and ``preforked_sockets``
+        # listeners accept protocol-0 sockets, on which a pipelined
+        # client would wait out Nagle plus a delayed ACK between answers.
+        sock = transport.get_extra_info("socket")
+        if sock is not None and sock.family in (socket.AF_INET, socket.AF_INET6):
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         server = self.server
         server._live.add(self)
         server._connections.inc()

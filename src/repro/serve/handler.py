@@ -69,6 +69,7 @@ ROUTE_HELP = [
     "/v1/families",
     "/v1/index",
     "/healthz",
+    "/readyz",
     "/statusz",
     "/metrics",
 ]

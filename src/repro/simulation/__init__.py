@@ -1,17 +1,6 @@
 """Calibrated DaaS ecosystem generator (the paper's data substrate)."""
 
-from repro.simulation.actors import mint_address, vanity_address
-from repro.simulation.ground_truth import GroundTruth, PlantedFamily, PlantedIncident
-from repro.simulation.labels import AbuseReport, LabelFeeds, build_label_feeds
-from repro.simulation.params import (
-    FamilyProfile,
-    PAPER_FAMILIES,
-    PAPER_RATIO_MIX,
-    PAPER_TOTALS,
-    SimulationParams,
-    month_ts,
-)
-from repro.simulation.world import SimulatedWorld, build_world
+from repro._lazy import lazy_exports
 
 __all__ = [
     "mint_address",
@@ -31,3 +20,14 @@ __all__ = [
     "SimulatedWorld",
     "build_world",
 ]
+
+__getattr__ = lazy_exports(__name__, globals(), {
+    "repro.simulation.actors": ("mint_address", "vanity_address"),
+    "repro.simulation.ground_truth": ("GroundTruth", "PlantedFamily", "PlantedIncident"),
+    "repro.simulation.labels": ("AbuseReport", "LabelFeeds", "build_label_feeds"),
+    "repro.simulation.params": (
+        "FamilyProfile", "PAPER_FAMILIES", "PAPER_RATIO_MIX", "PAPER_TOTALS",
+        "SimulationParams", "month_ts",
+    ),
+    "repro.simulation.world": ("SimulatedWorld", "build_world"),
+})

@@ -17,7 +17,7 @@ the representation safe to maintain *online*:
   is the invariant the parity matrix (``tests/stream/test_parity.py``)
   leans on.
 
-:func:`components_from_edges` is the cold-path reference: a plain BFS
+:func:`components_from_edges` is the cold-path reference: a graph search
 over the same edges, used by :func:`repro.stream.pipeline.batch_rebuild`
 so the incremental structure is checked against an algorithmically
 independent implementation, not against itself.
@@ -30,7 +30,7 @@ changed — the other half of the byte-parity story.
 
 from __future__ import annotations
 
-from repro.analysis.families import ClusteringResult, Family
+from repro.analysis.families import ClusteringResult, Family, connected_components
 
 __all__ = [
     "FamilyStats",
@@ -149,33 +149,21 @@ class IncrementalFamilies:
 def components_from_edges(
     edges: list[tuple[str, str]],
 ) -> dict[str, list[str]]:
-    """Connected components by BFS — the cold-rebuild reference.
+    """Connected components by graph search — the cold-rebuild reference.
 
     Same ``{root: sorted members}`` shape as
     :meth:`IncrementalFamilies.components`, computed by a different
-    algorithm so batch-vs-incremental parity is a real cross-check.
+    algorithm (the batch clusterer's :func:`connected_components`) so
+    batch-vs-incremental parity is a real cross-check.
     """
     adjacency: dict[str, set[str]] = {}
     for a, b in edges:
         adjacency.setdefault(a, set()).add(b)
         adjacency.setdefault(b, set()).add(a)
-    seen: set[str] = set()
     out: dict[str, list[str]] = {}
-    for start in sorted(adjacency):
-        if start in seen:
-            continue
-        component = [start]
-        seen.add(start)
-        frontier = [start]
-        while frontier:
-            node = frontier.pop()
-            for neighbor in adjacency[node]:
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    component.append(neighbor)
-                    frontier.append(neighbor)
-        component.sort()
-        out[component[0]] = component
+    for component in connected_components(adjacency):
+        members = sorted(component)
+        out[members[0]] = members
     return out
 
 

@@ -673,6 +673,40 @@ class TestHotReload:
             server.stop()
 
 
+class TestNagle:
+    @pytest.mark.parametrize("listener", ["create_server", "preforked_sockets"])
+    def test_accepted_connection_sets_tcp_nodelay(self, intel_index, listener):
+        """Both listeners ``serve`` binds have protocol 0, on which
+        asyncio leaves Nagle on; every accepted connection turns it off."""
+        if listener == "create_server":
+            sock = socket.create_server(("127.0.0.1", 0))
+        elif hasattr(socket, "SO_REUSEPORT"):
+            sock = preforked_sockets("127.0.0.1", 0, 1).sockets[0]
+        else:
+            pytest.skip("SO_REUSEPORT not available")
+        server = AsyncIntelServer(index=intel_index)
+        started = threading.Event()
+        thread = threading.Thread(
+            target=lambda: asyncio.run(server.run_async(sock=sock, started=started)),
+            daemon=True,
+        )
+        thread.start()
+        client = None
+        try:
+            assert started.wait(timeout=10.0)
+            client = RawClient(server.port)
+            assert client.request("GET", "/healthz")[0] == 200
+            (conn,) = tuple(server._live)
+            accepted = conn.transport.get_extra_info("socket")
+            assert accepted.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) == 1
+        finally:
+            if client is not None:
+                client.close()
+            server.request_stop()
+            thread.join(timeout=5.0)
+        assert not thread.is_alive()
+
+
 class TestPreforkedSockets:
     def test_binds_n_listeners_on_one_port(self):
         if not hasattr(socket, "SO_REUSEPORT"):

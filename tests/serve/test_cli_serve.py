@@ -242,11 +242,35 @@ class TestServe:
     def test_import_skips_live_ops(self):
         """``serve`` starts without loading the pipeline live-ops layer
         (alerts, watchdog, snapshots) or the stdlib ``http.server``."""
-        code = ("import sys, repro.serve; print(sorted(m for m in sys.modules "
-                "if m == 'http.server' or m.startswith('repro.obs.live')))")
-        result = subprocess.run([sys.executable, "-c", code], env=_child_env(),
-                                capture_output=True, text=True, check=True)
-        assert result.stdout.strip() == "[]"
+        assert _loaded_in_fresh_interpreter(
+            "import repro.serve", ["http.server", "repro.obs.live"]) == []
+
+    def test_serve_command_loads_only_the_serve_plane(self):
+        """``repro.cli`` and everything ``cmd_serve``/``_serve_worker``
+        import load no graph library, no stdlib HTTP client or server,
+        and none of the pipeline planes ``serve`` never runs."""
+        absent = ["networkx", "http.client", "http.server", "repro.webdetect",
+                  "repro.stream", "repro.obs.live", "repro.risk.evaluate",
+                  "repro.risk.collect", "repro.analysis.guard",
+                  "repro.analysis.laundering"]
+        assert _loaded_in_fresh_interpreter(
+            "import asyncio, os, signal, socket, repro.cli; "
+            "from repro.serve import AsyncIntelServer, IndexFormatError, "
+            "IntelIndex, preforked_sockets", absent) == []
+
+    def test_pipeline_api_loads_no_networkx(self):
+        assert _loaded_in_fresh_interpreter("import repro.api", ["networkx"]) == []
+
+
+def _loaded_in_fresh_interpreter(code: str, prefixes: list[str]) -> list[str]:
+    """The modules under ``prefixes`` that ``code`` loads in a fresh
+    interpreter."""
+    probe = (f"{code}; import json, sys; print(json.dumps(sorted(m for m in "
+             f"sys.modules if any(m == p or m.startswith(p + '.') "
+             f"for p in {prefixes!r}))))")
+    result = subprocess.run([sys.executable, "-c", probe], env=_child_env(),
+                            capture_output=True, text=True, check=True)
+    return json.loads(result.stdout)
 
 
 class TestServeTracing:

@@ -18,6 +18,7 @@ import pytest
 
 from repro.obs import Observability
 from repro.serve import AsyncIntelServer, build_index
+from repro.serve.handler import PROBE_ROUTES
 
 
 def get(url: str, headers: dict | None = None):
@@ -158,9 +159,10 @@ class TestOtherEndpoints:
         assert code == 405
 
     def test_unknown_route_404(self, server):
-        code, body, _ = get(f"{server.url}/v1/nope")
-        assert code == 404
-        assert "endpoints" in json.loads(body)
+        for target in ("/v1/nope", "/nope"):
+            code, body, _ = get(f"{server.url}{target}")
+            assert code == 404
+            assert set(PROBE_ROUTES) <= set(json.loads(body)["endpoints"])
 
 
 class TestObservability:

@@ -1,18 +1,21 @@
-"""The redesigned public API stays documented and tuple-free.
+"""The redesigned public API stays documented, tuple-free and resolvable.
 
 Wraps ``scripts/check_api_surface.py`` (which also runs standalone) into
 the default pytest tier, next to ``test_docs.py`` and
 ``test_metrics_catalog.py``: adding an ``__all__`` export without
-documenting it, or annotating a public pipeline/runtime callable to
-return a bare tuple, fails CI.
+documenting it, annotating a public pipeline/runtime callable to
+return a bare tuple, or exporting a name that does not resolve to its
+defining module's object fails CI.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import shutil
 from pathlib import Path
 
-_SCRIPT = Path(__file__).parent.parent / "scripts" / "check_api_surface.py"
+_REPO = Path(__file__).parent.parent
+_SCRIPT = _REPO / "scripts" / "check_api_surface.py"
 
 spec = importlib.util.spec_from_file_location("check_api_surface", _SCRIPT)
 check_api_surface = importlib.util.module_from_spec(spec)
@@ -62,3 +65,29 @@ def test_checker_catches_tuple_return(tmp_path):
     assert "'Thing.bad_method'" in flagged
     assert "'fine'" not in flagged
     assert "_private" not in flagged
+
+
+def test_every_package_export_resolves():
+    assert check_api_surface.check_exports_resolve() == []
+
+
+def test_checker_catches_unresolvable_lazy_export(tmp_path):
+    pkg = tmp_path / "src" / "repro"
+    (pkg / "lazy").mkdir(parents=True)
+    (pkg / "__init__.py").write_text(
+        "from repro.lazy.parts import Eager\n__all__ = ['Eager']\n"
+    )
+    shutil.copy(_REPO / "src" / "repro" / "_lazy.py", pkg / "_lazy.py")
+    (pkg / "lazy" / "parts.py").write_text("Eager = object()\nPart = object()\n")
+    (pkg / "lazy" / "__init__.py").write_text(
+        "from repro._lazy import lazy_exports\n"
+        "__all__ = ['Part', 'Prat', 'Unmapped']\n"
+        "__getattr__ = lazy_exports(__name__, globals(), {\n"
+        "    'repro.lazy.parts': ('Part', 'Prat'),\n"
+        "})\n"
+    )
+    errors = " ".join(check_api_surface.check_exports_resolve(tmp_path))
+    assert "repro.lazy: export 'Prat' does not resolve" in errors
+    assert "repro.lazy: export 'Unmapped' does not resolve" in errors
+    assert "'Part'" not in errors
+    assert "'Eager'" not in errors
