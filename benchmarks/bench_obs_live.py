@@ -23,7 +23,7 @@ from repro.analysis.reporting import render_table
 from repro.api import build_dataset
 from repro.obs import Observability
 from repro.obs.live import LiveOps, parse_alert_rules
-from repro.runtime import ExecutionEngine, ParallelExecutor, SerialExecutor
+from repro.runtime import ExecutionEngine
 from repro.simulation import SimulationParams, build_world
 
 _SCALE = 0.05
@@ -38,18 +38,11 @@ _ALERT_DOC = {"rules": [{
 }]}
 
 
-def _executors():
-    return [
-        ("serial", lambda: SerialExecutor()),
-        ("parallel-4", lambda: ParallelExecutor(workers=4, chunk_size=4)),
-    ]
-
-
-def _build(world, make_executor, live_path=None):
+def _build(world, live_path=None):
     """One timed construction; with ``live_path`` the full live stack is
     up for the duration (server + snapshotter cadence + alert rule)."""
     obs = Observability()
-    engine = ExecutionEngine(make_executor(), obs=obs)
+    engine = ExecutionEngine(obs=obs)
     live = None
     if live_path is not None:
         live = LiveOps(
@@ -77,48 +70,45 @@ def _build(world, make_executor, live_path=None):
 def test_perf_obs_live_overhead(benchmark, record_table, record_perf, tmp_path):
     world = build_world(SimulationParams(scale=_SCALE, seed=BENCH_SEED))
 
-    rows, samples, jsons = [], {}, {}
-    for name, make_executor in _executors():
-        walls = {"off": [], "on": []}
-        snapshot_count = 0
+    walls = {"off": [], "on": []}
+    jsons = {}
+    snapshot_count = 0
 
-        def run_off():
-            wall, text, _ = _build(world, make_executor)
-            walls["off"].append(wall)
-            jsons[f"{name}-off"] = text
+    def run_off():
+        wall, text, _ = _build(world)
+        walls["off"].append(wall)
+        jsons["off"] = text
 
-        def run_on():
-            nonlocal snapshot_count
-            wall, text, snapshots = _build(
-                world, make_executor, live_path=tmp_path / f"{name}.jsonl"
-            )
-            walls["on"].append(wall)
-            jsons[f"{name}-on"] = text
-            snapshot_count = snapshots
+    def run_on():
+        nonlocal snapshot_count
+        wall, text, snapshots = _build(world, live_path=tmp_path / "serial.jsonl")
+        walls["on"].append(wall)
+        jsons["on"] = text
+        snapshot_count = snapshots
 
-        _build(world, make_executor)  # warm-up, unrecorded
-        for i in range(_REPEATS):
-            first, second = (run_on, run_off) if i % 2 else (run_off, run_on)
-            first()
-            second()
+    _build(world)  # warm-up, unrecorded
+    for i in range(_REPEATS):
+        first, second = (run_on, run_off) if i % 2 else (run_off, run_on)
+        first()
+        second()
 
-        best_off, best_on = min(walls["off"]), min(walls["on"])
-        overhead = best_on / best_off - 1.0
-        rows.append([
-            name,
-            f"{best_off:.3f} s",
-            f"{best_on:.3f} s",
-            f"{overhead:+.1%}",
-            f"{snapshot_count:,}",
-        ])
-        samples[name] = {
-            "wall_off_s": round(best_off, 4),
-            "wall_on_s": round(best_on, 4),
-            "overhead": round(overhead, 4),
-            "snapshots": snapshot_count,
-            "cadence_s": _CADENCE_S,
-            "repeats": _REPEATS,
-        }
+    best_off, best_on = min(walls["off"]), min(walls["on"])
+    overhead = best_on / best_off - 1.0
+    rows = [[
+        "serial",
+        f"{best_off:.3f} s",
+        f"{best_on:.3f} s",
+        f"{overhead:+.1%}",
+        f"{snapshot_count:,}",
+    ]]
+    samples = {"serial": {
+        "wall_off_s": round(best_off, 4),
+        "wall_on_s": round(best_on, 4),
+        "overhead": round(overhead, 4),
+        "snapshots": snapshot_count,
+        "cadence_s": _CADENCE_S,
+        "repeats": _REPEATS,
+    }}
 
     record_table(
         "perf_obs_live",
@@ -134,16 +124,13 @@ def test_perf_obs_live_overhead(benchmark, record_table, record_perf, tmp_path):
     record_perf("perf_obs_live", samples)
 
     # the cardinal rule survives the live layer: identical dataset JSON
-    reference = jsons["serial-off"]
-    assert all(text == reference for text in jsons.values())
+    assert jsons["on"] == jsons["off"]
     # serving + snapshotting + alerting stays below the overhead budget
-    for name, sample in samples.items():
-        assert sample["overhead"] < _MAX_OVERHEAD, (
-            f"{name}: live-operations overhead {sample['overhead']:.1%} "
-            f"exceeds {_MAX_OVERHEAD:.0%} budget"
-        )
+    assert overhead < _MAX_OVERHEAD, (
+        f"live-operations overhead {overhead:.1%} exceeds {_MAX_OVERHEAD:.0%} budget"
+    )
 
     benchmark.pedantic(
-        lambda: _build(world, _executors()[0][1], live_path=tmp_path / "b.jsonl"),
+        lambda: _build(world, live_path=tmp_path / "b.jsonl"),
         rounds=1, iterations=1,
     )

@@ -21,7 +21,7 @@ from conftest import BENCH_SEED
 from repro.analysis.reporting import render_table
 from repro.api import build_dataset
 from repro.obs import Observability
-from repro.runtime import ExecutionEngine, ParallelExecutor, SerialExecutor
+from repro.runtime import ExecutionEngine
 from repro.simulation import SimulationParams, build_world
 
 _SCALE = 0.05
@@ -29,15 +29,8 @@ _REPEATS = 9
 _MAX_OVERHEAD = 0.05
 
 
-def _executors():
-    return [
-        ("serial", lambda: SerialExecutor()),
-        ("parallel-4", lambda: ParallelExecutor(workers=4, chunk_size=4)),
-    ]
-
-
-def _timed_build(world, make_executor, obs):
-    engine = ExecutionEngine(make_executor(), obs=obs)
+def _timed_build(world, obs):
+    engine = ExecutionEngine(obs=obs)
     started = time.perf_counter()
     dataset = build_dataset(world, engine=engine).dataset
     return time.perf_counter() - started, dataset.to_json(), engine
@@ -46,49 +39,48 @@ def _timed_build(world, make_executor, obs):
 def test_perf_obs_overhead(benchmark, record_table, record_perf):
     world = build_world(SimulationParams(scale=_SCALE, seed=BENCH_SEED))
 
-    rows, samples, jsons = [], {}, {}
-    for name, make_executor in _executors():
-        walls = {"off": [], "on": []}
-        span_count = 0
+    walls = {"off": [], "on": []}
+    jsons = {}
+    span_count = 0
 
-        def run_off():
-            wall, text, _ = _timed_build(world, make_executor, Observability.disabled())
-            walls["off"].append(wall)
-            jsons[f"{name}-off"] = text
+    def run_off():
+        wall, text, _ = _timed_build(world, Observability.disabled())
+        walls["off"].append(wall)
+        jsons["off"] = text
 
-        def run_on():
-            nonlocal span_count
-            obs = Observability()
-            wall, text, engine = _timed_build(world, make_executor, obs)
-            engine.publish_metrics()
-            walls["on"].append(wall)
-            jsons[f"{name}-on"] = text
-            span_count = len(obs.tracer)
+    def run_on():
+        nonlocal span_count
+        obs = Observability()
+        wall, text, engine = _timed_build(world, obs)
+        engine.publish_metrics()
+        walls["on"].append(wall)
+        jsons["on"] = text
+        span_count = len(obs.tracer)
 
-        # warm-up: side effects (imports, allocator growth) land here,
-        # and neither side gets an extra recorded sample
-        _timed_build(world, make_executor, Observability.disabled())
-        for i in range(_REPEATS):
-            first, second = (run_on, run_off) if i % 2 else (run_off, run_on)
-            first()
-            second()
+    # warm-up: side effects (imports, allocator growth) land here,
+    # and neither side gets an extra recorded sample
+    _timed_build(world, Observability.disabled())
+    for i in range(_REPEATS):
+        first, second = (run_on, run_off) if i % 2 else (run_off, run_on)
+        first()
+        second()
 
-        best_off, best_on = min(walls["off"]), min(walls["on"])
-        overhead = best_on / best_off - 1.0
-        rows.append([
-            name,
-            f"{best_off:.3f} s",
-            f"{best_on:.3f} s",
-            f"{overhead:+.1%}",
-            f"{span_count:,}",
-        ])
-        samples[name] = {
-            "wall_off_s": round(best_off, 4),
-            "wall_on_s": round(best_on, 4),
-            "overhead": round(overhead, 4),
-            "spans": span_count,
-            "repeats": _REPEATS,
-        }
+    best_off, best_on = min(walls["off"]), min(walls["on"])
+    overhead = best_on / best_off - 1.0
+    rows = [[
+        "serial",
+        f"{best_off:.3f} s",
+        f"{best_on:.3f} s",
+        f"{overhead:+.1%}",
+        f"{span_count:,}",
+    ]]
+    samples = {"serial": {
+        "wall_off_s": round(best_off, 4),
+        "wall_on_s": round(best_on, 4),
+        "overhead": round(overhead, 4),
+        "spans": span_count,
+        "repeats": _REPEATS,
+    }}
 
     record_table(
         "perf_obs",
@@ -100,19 +92,16 @@ def test_perf_obs_overhead(benchmark, record_table, record_perf):
     )
     record_perf("perf_obs", samples)
 
-    # identical output in all four obs/executor combinations
-    reference = jsons["serial-off"]
-    assert all(text == reference for text in jsons.values())
+    # identical output with observability on and off
+    assert jsons["on"] == jsons["off"]
     # instrumentation stays below the overhead budget
-    for name, sample in samples.items():
-        assert sample["overhead"] < _MAX_OVERHEAD, (
-            f"{name}: observability overhead {sample['overhead']:.1%} "
-            f"exceeds {_MAX_OVERHEAD:.0%} budget"
-        )
+    assert overhead < _MAX_OVERHEAD, (
+        f"observability overhead {overhead:.1%} exceeds {_MAX_OVERHEAD:.0%} budget"
+    )
 
     benchmark.pedantic(
         lambda: build_dataset(
-            world, engine=ExecutionEngine(SerialExecutor(), obs=Observability())
+            world, engine=ExecutionEngine(obs=Observability())
         ),
         rounds=1, iterations=1,
     )

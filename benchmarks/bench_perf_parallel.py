@@ -1,12 +1,12 @@
-"""Serial vs. cached vs. parallel vs. process-sharded construction.
+"""Serial vs. cached vs. process-sharded construction.
 
 Not a paper artifact — characterizes the `repro.runtime` execution
 engine on a multi-round snowball world:
 
 * the cached engine performs strictly fewer contract classifications
   than the uncached serial baseline (cross-stage memoization);
-* thread-parallel and process-sharded runs report txs/s next to serial
-  at identical output (parity is asserted here as well as in tier-1);
+* process-sharded runs report txs/s next to serial at identical output
+  (parity is asserted here as well as in tier-1);
 * every sample lands in ``out/perf_parallel.json`` together with the
   machine context (cpu count, multiprocessing start method) — perf
   numbers are meaningless diffed across machines without it.
@@ -36,13 +36,7 @@ from pathlib import Path
 
 from repro.analysis.reporting import render_table
 from repro.api import build_dataset
-from repro.runtime import (
-    ExecutionEngine,
-    ParallelExecutor,
-    SerialExecutor,
-    ShardingRuntime,
-    default_start_method,
-)
+from repro.runtime import ExecutionEngine, ShardingRuntime, default_start_method
 from repro.simulation import SimulationParams, build_world
 
 _SCALE = 0.05
@@ -70,13 +64,8 @@ def machine_context() -> dict:
 
 def _engine_configs():
     return [
-        ("serial-nocache", 0, 1,
-         lambda: ExecutionEngine(SerialExecutor(), cache_enabled=False)),
-        ("serial-cached", 0, 1, lambda: ExecutionEngine(SerialExecutor())),
-        ("parallel-2-cached", 0, 1,
-         lambda: ExecutionEngine(ParallelExecutor(workers=2))),
-        ("parallel-4-cached", 0, 1,
-         lambda: ExecutionEngine(ParallelExecutor(workers=4, chunk_size=4))),
+        ("serial-nocache", 0, 1, lambda: ExecutionEngine(cache_enabled=False)),
+        ("serial-cached", 0, 1, lambda: ExecutionEngine()),
         ("shard-2x2-cached", 2, 2,
          lambda: ExecutionEngine(sharding=ShardingRuntime(shards=2, processes=2))),
         ("shard-4x4-cached", 4, 4,
@@ -91,7 +80,6 @@ def _run_config(world, name: str, shards: int, processes: int, make) -> dict:
     elapsed = time.perf_counter() - started
     return {
         "name": name,
-        "workers": engine.executor.workers,
         "shards": shards,
         "processes": processes,
         "cache_enabled": engine.cache_enabled,
@@ -120,7 +108,6 @@ def test_perf_parallel_dataset(benchmark, record_table, record_perf):
         classifications[name] = result["contract_classifications"]
         rows.append([
             name,
-            str(result["workers"]),
             f"{shards}x{processes}" if shards else "-",
             "on" if result["cache_enabled"] else "off",
             f"{result['wall_s']:.2f} s",
@@ -133,7 +120,7 @@ def test_perf_parallel_dataset(benchmark, record_table, record_perf):
     record_table(
         "perf_parallel",
         render_table(
-            ["engine", "workers", "shardsxprocs", "cache", "wall",
+            ["engine", "shardsxprocs", "cache", "wall",
              "throughput", "classifications", "hit rate"],
             rows,
             title=f"Performance — runtime engine (scale {_SCALE}, "
@@ -149,13 +136,12 @@ def test_perf_parallel_dataset(benchmark, record_table, record_perf):
     # strictly fewer contract classifications than the uncached baseline
     assert iterations >= 2
     assert classifications["serial-cached"] < classifications["serial-nocache"]
-    assert classifications["parallel-4-cached"] == classifications["serial-cached"]
     # sharded workers classify each contract exactly once across shards
     assert classifications["shard-4x4-cached"] == classifications["serial-cached"]
 
     # timed section for the benchmark table: the cached serial pipeline
     benchmark.pedantic(
-        lambda: build_dataset(world, engine=ExecutionEngine(SerialExecutor())),
+        lambda: build_dataset(world, engine=ExecutionEngine()),
         rounds=1, iterations=1,
     )
 
@@ -207,7 +193,7 @@ def main(argv: list[str] | None = None) -> int:
     world = build_world(SimulationParams(scale=args.scale, seed=args.seed))
 
     serial = _run_config(
-        world, "serial-cached", 0, 1, lambda: ExecutionEngine(SerialExecutor())
+        world, "serial-cached", 0, 1, lambda: ExecutionEngine()
     )
     name = f"shard-{args.shards}x{args.processes}-cached"
     sharded = _run_config(

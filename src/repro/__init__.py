@@ -10,7 +10,7 @@ Packages:
   detection, seed construction, snowball expansion, dataset model;
 * :mod:`repro.analysis`   — the §6-§7 measurement suite and clustering;
 * :mod:`repro.webdetect`  — the §8 toolkit-based website detector;
-* :mod:`repro.runtime`    — the execution engine (executors, caches);
+* :mod:`repro.runtime`    — the execution engine (caches, process sharding);
 * :mod:`repro.obs`        — observability: trace spans, metrics registry,
   structured logs (``--trace-out`` / ``--metrics-out`` / ``--log-json``);
 * :mod:`repro.serve`      — serving layer: the versioned intelligence

@@ -69,6 +69,10 @@ class Family:
         return (self.last_tx_ts - self.first_tx_ts) / _DAY
 
 
+def _table2_order(family: Family) -> tuple[int, str]:
+    return (-len(family.victims), family.name)
+
+
 @dataclass
 class ClusteringResult:
     families: list[Family] = field(default_factory=list)
@@ -96,8 +100,8 @@ class ClusteringResult:
         return sum(f.total_profit_usd for f in top) / total
 
     def sorted_by_victims(self) -> list[Family]:
-        """Table 2 ordering: descending victim count."""
-        return sorted(self.families, key=lambda f: -len(f.victims))
+        """Table 2 ordering: descending victim count, ties by name."""
+        return sorted(self.families, key=_table2_order)
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,22 +131,24 @@ class FamilyClusterer:
         self._assign_members(result)
         if victim_report is not None:
             self._assign_victims(result, victim_report)
-        result.families.sort(key=lambda f: -len(f.victims) if f.victims else 0)
+        result.families.sort(key=_table2_order)
         return result
 
     def _build_operator_graph(self) -> dict[str, set[str]]:
         """Step 1: operator nodes; edges from direct transactions or a
-        shared Etherscan-labeled phishing counterparty."""
+        shared Etherscan-labeled phishing counterparty.  Operators are
+        walked in sorted order (``dataset.operators`` is a set), so the
+        components come out in an order independent of string hashing."""
         operators = self.ctx.dataset.operators
         explorer = self.ctx.explorer
-        graph: dict[str, set[str]] = {op: set() for op in operators}
+        graph: dict[str, set[str]] = {op: set() for op in sorted(operators)}
 
         def add_edge(a: str, b: str) -> None:
             graph[a].add(b)
             graph[b].add(a)
 
-        labeled_partners: dict[str, set[str]] = {op: set() for op in operators}
-        for operator in operators:
+        labeled_partners: dict[str, set[str]] = {op: set() for op in graph}
+        for operator in graph:
             for tx in explorer.transactions_of(operator):
                 counterparty = None
                 if tx.sender == operator and tx.to:

@@ -1,6 +1,6 @@
 """The DaaS money-flow graph.
 
-Builds a directed multigraph of every value movement touching the dataset:
+Builds a directed graph of every value movement touching the dataset:
 victims fund contracts, contracts split to operators and affiliates,
 operators consolidate among themselves and cash out to mixers/bridges.
 The paper reasons about this graph implicitly (snowball sampling exploits
@@ -12,14 +12,13 @@ community-detection alternative to the paper's clustering used by the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import networkx as nx
+from dataclasses import dataclass, field
 
 from repro.analysis.context import AnalysisContext
+from repro.analysis.families import connected_components
 from repro.core.fundflow import extract_fund_flow
 
-__all__ = ["FlowGraphBuilder", "GraphSummary"]
+__all__ = ["FlowGraph", "FlowGraphBuilder", "GraphSummary"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -29,6 +28,32 @@ class GraphSummary:
     components: int
     largest_component: int
     total_eth_volume_wei: int
+
+
+@dataclass
+class FlowGraph:
+    """A directed fund-flow graph on plain dicts.
+
+    ``roles`` maps every node to its role (:attr:`FlowGraphBuilder.ROLES`);
+    ``edges`` maps source → recipient → aggregated weights
+    (``weight_wei`` and ``token_transfers``), one entry per directed pair.
+    """
+
+    roles: dict[str, str] = field(default_factory=dict)
+    edges: dict[str, dict[str, dict[str, int]]] = field(default_factory=dict)
+
+    @property
+    def edge_count(self) -> int:
+        return sum(len(recipients) for recipients in self.edges.values())
+
+    def undirected(self) -> dict[str, set[str]]:
+        """Adjacency map of every node, each edge listed under both ends."""
+        adjacency: dict[str, set[str]] = {node: set() for node in self.roles}
+        for source, recipients in self.edges.items():
+            for recipient in recipients:
+                adjacency[source].add(recipient)
+                adjacency[recipient].add(source)
+        return adjacency
 
 
 class FlowGraphBuilder:
@@ -42,22 +67,21 @@ class FlowGraphBuilder:
 
     # ------------------------------------------------------------------
 
-    def build(self, include_token_flows: bool = True) -> nx.DiGraph:
+    def build(self, include_token_flows: bool = True) -> FlowGraph:
         """Directed graph over every transaction touching a DaaS account.
 
         Edge weights aggregate transferred value per (source, recipient):
         ``weight_wei`` for ETH and ``token_transfers`` as a count for
         token movements (token units are not directly comparable).
         """
-        dataset = self.ctx.dataset
-        graph = nx.DiGraph()
-        daas = dataset.all_accounts
+        accounts = sorted(self.ctx.dataset.all_accounts)
         # Every dataset account is a node even if it never moved value
         # itself (e.g. a contract whose only activity is token pulls).
-        graph.add_nodes_from(daas)
+        nodes = dict.fromkeys(accounts)
+        edges: dict[str, dict[str, dict[str, int]]] = {}
         seen_txs: set[str] = set()
 
-        for account in sorted(daas):
+        for account in accounts:
             for tx in self.ctx.explorer.transactions_of(account):
                 if tx.hash in seen_txs:
                     continue
@@ -65,28 +89,26 @@ class FlowGraphBuilder:
                 receipt = self.ctx.rpc.get_transaction_receipt(tx.hash)
                 for transfer in extract_fund_flow(tx, receipt):
                     if transfer.token == "ETH":
-                        self._add_edge(
-                            graph, transfer.source, transfer.recipient,
-                            wei=transfer.amount,
-                        )
+                        wei, tokens = transfer.amount, 0
                     elif include_token_flows and not transfer.is_nft:
-                        self._add_edge(
-                            graph, transfer.source, transfer.recipient, tokens=1
-                        )
-        self._annotate_roles(graph)
-        return graph
+                        wei, tokens = 0, 1
+                    else:
+                        continue
+                    nodes.setdefault(transfer.source)
+                    nodes.setdefault(transfer.recipient)
+                    weights = edges.setdefault(transfer.source, {}).setdefault(
+                        transfer.recipient, {"weight_wei": 0, "token_transfers": 0}
+                    )
+                    weights["weight_wei"] += wei
+                    weights["token_transfers"] += tokens
+        return FlowGraph(roles=self._roles(nodes, edges), edges=edges)
 
-    def _add_edge(self, graph: nx.DiGraph, a: str, b: str, wei: int = 0, tokens: int = 0) -> None:
-        if graph.has_edge(a, b):
-            data = graph[a][b]
-            data["weight_wei"] += wei
-            data["token_transfers"] += tokens
-        else:
-            graph.add_edge(a, b, weight_wei=wei, token_transfers=tokens)
-
-    def _annotate_roles(self, graph: nx.DiGraph) -> None:
+    def _roles(
+        self, nodes: dict[str, None], edges: dict[str, dict[str, dict[str, int]]]
+    ) -> dict[str, str]:
         dataset, explorer = self.ctx.dataset, self.ctx.explorer
-        for node in graph.nodes:
+        roles: dict[str, str] = {}
+        for node in nodes:
             if node in dataset.contracts:
                 role = "contract"
             elif node in dataset.operators:
@@ -100,37 +122,39 @@ class FlowGraphBuilder:
                 elif label is not None:
                     role = "other"  # labeled infrastructure (tokens, marketplaces)
                 elif any(
-                    successor in dataset.contracts for successor in graph.successors(node)
+                    recipient in dataset.contracts for recipient in edges.get(node, ())
                 ):
                     role = "victim"
                 else:
                     role = "other"
-            graph.nodes[node]["role"] = role
+            roles[node] = role
+        return roles
 
     # ------------------------------------------------------------------
 
-    def summarize(self, graph: nx.DiGraph) -> GraphSummary:
-        undirected = graph.to_undirected(as_view=True)
-        components = list(nx.connected_components(undirected))
+    def summarize(self, graph: FlowGraph) -> GraphSummary:
+        components = connected_components(graph.undirected())
         return GraphSummary(
-            nodes=graph.number_of_nodes(),
-            edges=graph.number_of_edges(),
+            nodes=len(graph.roles),
+            edges=graph.edge_count,
             components=len(components),
             largest_component=max((len(c) for c in components), default=0),
             total_eth_volume_wei=sum(
-                data["weight_wei"] for _, _, data in graph.edges(data=True)
+                weights["weight_wei"]
+                for recipients in graph.edges.values()
+                for weights in recipients.values()
             ),
         )
 
-    def role_counts(self, graph: nx.DiGraph) -> dict[str, int]:
+    def role_counts(self, graph: FlowGraph) -> dict[str, int]:
         counts: dict[str, int] = {}
-        for _, data in graph.nodes(data=True):
-            counts[data["role"]] = counts.get(data["role"], 0) + 1
+        for role in graph.roles.values():
+            counts[role] = counts.get(role, 0) + 1
         return counts
 
     # ------------------------------------------------------------------
 
-    def operator_communities(self, graph: nx.DiGraph) -> list[set[str]]:
+    def operator_communities(self, graph: FlowGraph) -> list[set[str]]:
         """Alternative family clustering: communities of the operator-
         projection graph.
 
@@ -140,27 +164,25 @@ class FlowGraphBuilder:
         connected components of that projection — compared against the
         paper's label-assisted method in the clustering ablation.
         """
-        operators = set(self.ctx.dataset.operators)
-        undirected = graph.to_undirected(as_view=True)
-        projection = nx.Graph()
-        projection.add_nodes_from(operators)
-        victims = {
-            node for node, data in graph.nodes(data=True) if data["role"] == "victim"
+        operators = self.ctx.dataset.operators
+        undirected = graph.undirected()
+        blocked = {
+            node for node, role in graph.roles.items() if role in ("victim", "sink")
         }
-        sinks = {
-            node for node, data in graph.nodes(data=True) if data["role"] == "sink"
-        }
-        blocked = victims | sinks
-        for operator in operators:
-            if operator not in undirected:
-                continue
-            for middle in undirected.neighbors(operator):
+        projection: dict[str, set[str]] = {op: set() for op in sorted(operators)}
+
+        def link(a: str, b: str) -> None:
+            projection[a].add(b)
+            projection[b].add(a)
+
+        for operator in projection:
+            for middle in undirected.get(operator, ()):
                 if middle in blocked:
                     continue
                 if middle in operators:
-                    projection.add_edge(operator, middle)
+                    link(operator, middle)
                     continue
-                for other in undirected.neighbors(middle):
+                for other in undirected[middle]:
                     if other != operator and other in operators:
-                        projection.add_edge(operator, other)
-        return [set(c) for c in nx.connected_components(projection)]
+                        link(operator, other)
+        return connected_components(projection)

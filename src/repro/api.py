@@ -11,7 +11,7 @@ Typical use (see ``examples/quickstart.py``)::
 from the public feeds, snowball-expands it to fixpoint, and runs the full
 measurement suite — the complete reproduction of the paper's §5-§7.
 One :class:`PipelineConfig` carries every knob: world parameters,
-engine/worker/cache selection, observability, and the fault-tolerance
+cache and sharding selection, observability, and the fault-tolerance
 options (retry policy, fault plan, checkpoint/resume) described in
 ``docs/reliability.md``.
 """
@@ -48,7 +48,6 @@ from repro.runtime import (
     ResumeInfo,
     RetryPolicy,
     ShardingRuntime,
-    make_executor,
 )
 from repro.simulation import SimulatedWorld, SimulationParams, build_world
 
@@ -68,8 +67,8 @@ class PipelineConfig:
     World selection: ``params`` wins over the ``scale``/``seed``
     shorthand; a prebuilt ``world`` skips world construction entirely.
     Engine selection: an explicit ``engine`` wins over the
-    ``workers``/``chunk_size``/``cache_enabled``/``obs``/resilience
-    fields that :meth:`make_engine` would otherwise assemble.
+    ``cache_enabled``/``obs``/sharding/resilience fields that
+    :meth:`make_engine` would otherwise assemble.
     """
 
     # -- world ---------------------------------------------------------------
@@ -78,10 +77,7 @@ class PipelineConfig:
     params: SimulationParams | None = None
     world: SimulatedWorld | None = None
     # -- engine --------------------------------------------------------------
-    workers: int = 1
-    chunk_size: int = 1
     cache_enabled: bool = True
-    analysis_cache_size: int | None = None
     obs: Observability | None = None
     engine: ExecutionEngine | None = None
     # -- process sharding (docs/runtime.md) ----------------------------------
@@ -130,9 +126,7 @@ class PipelineConfig:
                 shards=self.shards or self.processes, processes=self.processes
             )
         return ExecutionEngine(
-            executor=make_executor(self.workers, self.chunk_size),
             cache_enabled=self.cache_enabled,
-            analysis_cache_size=self.analysis_cache_size,
             obs=obs,
             retry_policy=self.retry,
             breaker_threshold=self.breaker_threshold,
@@ -235,7 +229,7 @@ def build_dataset(
 ) -> DatasetBuildResult:
     """Seed + snowball over an already-built world (paper §5).
 
-    ``engine`` selects the execution strategy (serial/parallel, caching,
+    ``engine`` selects the execution strategy (serial/sharded, caching,
     retry/fault-injection); every configuration produces byte-identical
     datasets.  With ``checkpoint`` set (a manager, or just a path —
     ``engine.checkpoint`` is the fallback), progress is persisted after

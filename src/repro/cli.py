@@ -96,21 +96,29 @@ def _world_parent() -> argparse.ArgumentParser:
     return p
 
 
+def _int_at_least(minimum: int):
+    """argparse ``type`` for an int flag with a floor: a smaller value
+    exits 2 with an error line naming the flag, like any malformed one."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse's "invalid int value" wording
+    return parse
+
+
 def _runtime_parent() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(add_help=False)
     g = p.add_argument_group("runtime")
-    g.add_argument("--workers", type=int, default=1,
-                   help="analysis worker threads (1 = serial; results are "
-                        "identical for any worker count)")
-    g.add_argument("--chunk-size", type=int, default=1,
-                   help="contracts per parallel work unit (default 1)")
     g.add_argument("--no-cache", action="store_true",
                    help="disable the runtime analysis/read caches (baseline mode)")
-    g.add_argument("--shards", type=int, default=0,
+    g.add_argument("--shards", type=_int_at_least(0), default=0,
                    help="partition construction into N deterministic shards "
                         "(0 = off, or one shard per process when --processes "
                         "is set; results are identical for any shard count)")
-    g.add_argument("--processes", type=int, default=1,
+    g.add_argument("--processes", type=_int_at_least(1), default=1,
                    help="worker processes executing shard tasks (1 = run "
                         "shards inline on this process)")
     g.add_argument("--stats", action="store_true",
@@ -237,8 +245,6 @@ def _config(args: argparse.Namespace, obs: Observability | None = None) -> Pipel
     return PipelineConfig(
         scale=args.scale,
         seed=args.seed,
-        workers=getattr(args, "workers", 1),
-        chunk_size=getattr(args, "chunk_size", 1),
         shards=getattr(args, "shards", 0),
         processes=getattr(args, "processes", 1),
         cache_enabled=not getattr(args, "no_cache", False),
@@ -341,14 +347,7 @@ def cmd_build_dataset(args: argparse.Namespace) -> int:
     finally:
         if live is not None:
             live.stop()
-    print(render_table(
-        ["stage"] + list(result.seed_summary),
-        [
-            ["seed"] + [str(v) for v in result.seed_summary.values()],
-            ["expanded"] + [str(v) for v in result.dataset.summary().values()],
-        ],
-        title="Dataset collection (Table 1)",
-    ))
+    _print_collection(result)
     info = result.resume_info
     if info is not None and info.resumed:
         print(f"\nresumed from {info.path} (stage {info.restored_stage}, "
@@ -363,8 +362,23 @@ def cmd_build_dataset(args: argparse.Namespace) -> int:
     return 0
 
 
+def _print_collection(result) -> None:
+    print(render_table(
+        ["stage"] + list(result.seed_summary),
+        [
+            ["seed"] + [str(v) for v in result.seed_summary.values()],
+            ["expanded"] + [str(v) for v in result.dataset.summary().values()],
+        ],
+        title="Dataset collection (Table 1)",
+    ))
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
-    result = run_pipeline(_config(args))
+    _print_findings(run_pipeline(_config(args)))
+    return 0
+
+
+def _print_findings(result) -> None:
     vr, orr, ar = result.victim_report, result.operator_report, result.affiliate_report
     print(f"victim accounts:        {vr.victim_count}")
     print(f"total losses:           {fmt_usd(vr.total_loss_usd)}")
@@ -382,11 +396,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     print(f"  reach > 10 victims:   {fmt_pct(ar.reach_share_above(10))} (paper 26.1%)")
     print(f"  single operator:      {fmt_pct(ar.operator_count_shares().get(1, 0.0))} (paper 60.4%)")
     print(f"  at most 3 operators:  {fmt_pct(ar.share_with_at_most(3))} (paper 90.2%)")
-    return 0
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
-    result = run_pipeline(_config(args))
+    _print_families(run_pipeline(_config(args)))
+    return 0
+
+
+def _print_families(result) -> None:
     rows = []
     for family in result.clustering.sorted_by_victims():
         rows.append([
@@ -406,7 +423,6 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     ))
     print(f"\ntop-3 profit share: {fmt_pct(result.clustering.top_families_profit_share(3))}"
           " (paper 93.9%)")
-    return 0
 
 
 def _resilient_crawler(args: argparse.Namespace, web, obs: Observability):
@@ -457,7 +473,6 @@ def _run_webdetect(args: argparse.Namespace, obs: Observability) -> int:
         WebWorldParams,
         build_fingerprint_db,
         build_web_world,
-        tld_distribution,
     )
 
     web = build_web_world(WebWorldParams(scale=args.scale, seed=args.seed))
@@ -490,6 +505,14 @@ def _run_webdetect(args: argparse.Namespace, obs: Observability) -> int:
     else:
         db = build_fingerprint_db(web)
         reports, stats = PhishingSiteDetector(web, db, obs=obs, crawler=crawler).run()
+    _print_sites(db, reports, stats)
+    _write_obs(args, obs)
+    return 0
+
+
+def _print_sites(db, reports, stats) -> None:
+    from repro.webdetect import tld_distribution
+
     print(f"fingerprints:     {len(db)} (paper 867 at scale 1.0)")
     print(f"CT entries:       {stats.ct_entries}")
     print(f"suspicious:       {stats.suspicious}")
@@ -497,8 +520,6 @@ def _run_webdetect(args: argparse.Namespace, obs: Observability) -> int:
     tld = tld_distribution(reports)
     rows = [[t, fmt_pct(s)] for t, s in list(tld.items())[:10]]
     print(render_table(["TLD", "share"], rows, title="\nTop-10 TLDs (Table 4)"))
-    _write_obs(args, obs)
-    return 0
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -554,7 +575,8 @@ def cmd_laundering(args: argparse.Namespace) -> int:
 
 
 def _detect_sites(args: argparse.Namespace):
-    """The §8 detector's ``(site reports, stats)`` on the flags' web world."""
+    """The §8 detector on the flags' web world: ``(fingerprint DB, site
+    reports, stats)``."""
     from repro.webdetect import (
         PhishingSiteDetector,
         WebWorldParams,
@@ -563,7 +585,8 @@ def _detect_sites(args: argparse.Namespace):
     )
 
     web = build_web_world(WebWorldParams(scale=args.scale, seed=args.seed))
-    return PhishingSiteDetector(web, build_fingerprint_db(web)).run()
+    db = build_fingerprint_db(web)
+    return (db, *PhishingSiteDetector(web, db).run())
 
 
 def cmd_eval_risk(args: argparse.Namespace) -> int:
@@ -572,7 +595,7 @@ def cmd_eval_risk(args: argparse.Namespace) -> int:
     result = run_pipeline(_config(args))
     site_reports = None
     if getattr(args, "with_domains", False):
-        site_reports, _ = _detect_sites(args)
+        _, site_reports, _ = _detect_sites(args)
     report = evaluate_stage_combinations(
         result, site_reports=site_reports, max_hops=args.max_hops
     )
@@ -590,14 +613,24 @@ def cmd_eval_risk(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    for fn in (cmd_build_dataset, cmd_analyze, cmd_cluster, cmd_webdetect):
-        fn(args)
-        print()
-    if getattr(args, "md", ""):
+    """The build-dataset, analyze, cluster and webdetect sections from one
+    pipeline run and one detector run (plus the markdown report)."""
+    result = run_pipeline(_config(args))
+    _print_collection(result)
+    if args.out:
+        result.dataset.save(args.out)
+        print(f"\ndataset written to {args.out}")
+    print()
+    _print_findings(result)
+    print()
+    _print_families(result)
+    print()
+    db, reports, stats = _detect_sites(args)
+    _print_sites(db, reports, stats)
+    print()
+    if args.md:
         from repro.analysis.document import render_markdown_report
 
-        result = run_pipeline(_config(args))
-        reports, stats = _detect_sites(args)
         text = render_markdown_report(result, reports, stats)
         with open(args.md, "w") as handle:
             handle.write(text)
@@ -681,7 +714,7 @@ def cmd_index_build(args: argparse.Namespace) -> int:
         result = run_pipeline(_config(args))
         site_reports = None
         if getattr(args, "with_domains", False):
-            site_reports, _ = _detect_sites(args)
+            _, site_reports, _ = _detect_sites(args)
         laundering_report = None
         if getattr(args, "with_laundering", False):
             laundering_report = result.trace_laundering()

@@ -10,7 +10,7 @@ All per-contract analysis is routed through an
 :class:`~repro.runtime.engine.ExecutionEngine`, which memoizes results
 across stages (a snowball round never re-classifies a contract the seed
 stage or an earlier round already analyzed), caches chain reads, and
-fans batch work out over its executor.  The engine's
+fans batch work out over shard processes when sharding is on.  The engine's
 :class:`~repro.obs.Observability` handle (``analyzer.obs``) carries the
 trace spans, metrics, and structured log events every stage reports
 through; see ``docs/observability.md`` for the event catalogue.

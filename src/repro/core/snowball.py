@@ -207,11 +207,11 @@ class SnowballExpander:
         iteration: int,
     ) -> list[str]:
         # Per-account evaluation is pure within a round (the dataset and the
-        # rejected set only change between rounds), so it fans out over the
-        # engine — threads, or shard worker processes when a sharding
-        # runtime is attached; the merge below replays the accounts in
-        # frontier order so discovery order, statistics, and the resulting
-        # dataset are byte-identical to a serial walk.
+        # rejected set only change between rounds), so it can fan out over
+        # shard worker processes when a sharding runtime is attached; the
+        # merge below replays the accounts in frontier order so discovery
+        # order, statistics, and the resulting dataset are byte-identical
+        # to a serial walk.
         engine = self.analyzer.engine
         sharding = engine.sharding
         if sharding is not None and sharding.active:
@@ -245,7 +245,7 @@ class SnowballExpander:
     def _evaluate_account(
         self, account: str, dataset: DaaSDataset
     ) -> list[tuple[str, bool]]:
-        """Serial/threaded path: delegate to the shared evaluation with
+        """Serial path: delegate to the shared evaluation with
         the expander's own memo (candidate guard semantics documented on
         :func:`evaluate_frontier_account`)."""
         return evaluate_frontier_account(

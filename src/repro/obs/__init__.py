@@ -129,8 +129,8 @@ class Observability:
 
     # -- recording shorthands ------------------------------------------------
 
-    def span(self, name: str, parent: Span | None = None, **attrs: Any):
-        return self.tracer.span(name, parent=parent, **attrs)
+    def span(self, name: str, **attrs: Any):
+        return self.tracer.span(name, **attrs)
 
     def event(self, name: str, level: str = "info", **fields: Any) -> dict[str, Any]:
         if not self.enabled:

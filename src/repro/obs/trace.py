@@ -9,12 +9,10 @@ so a finished trace is a forest that mirrors the call structure.  The
         ...
         sp.set(new_contracts=7)
 
-Span nesting is tracked per *thread* (each worker thread owns its own
-stack), and a parent captured on the submitting thread can be passed
-explicitly — that is how the execution engine keeps per-contract spans
-computed on a :class:`~repro.runtime.executor.ParallelExecutor` parented
-under the batch span that fanned them out, regardless of which pool
-thread ran the item.
+Span nesting is tracked per *thread*: each thread owns its own stack,
+so spans opened on another thread (``serve``'s reload thread, the
+live-operations threads) start their own roots instead of hanging off
+whatever the main thread has open.
 
 Tracing never perturbs results: spans touch no RNG and no pipeline
 state, and the writer appends to its own JSON-lines file (one object per
@@ -127,16 +125,12 @@ class Tracer:
     # -- recording ----------------------------------------------------------
 
     @contextmanager
-    def span(
-        self, name: str, parent: Span | None = None, **attrs: Any
-    ) -> Iterator[Span | _NullSpan]:
+    def span(self, name: str, **attrs: Any) -> Iterator[Span | _NullSpan]:
         if not self.enabled:
             yield NULL_SPAN
             return
         stack = self._stack()
-        if parent is None and stack:
-            parent = stack[-1]
-        parent_id = parent.span_id if isinstance(parent, Span) else None
+        parent_id = stack[-1].span_id if stack else None
         with self._lock:
             self._next += 1
             span_id = f"{self.run_id}-{self._next:06d}"
@@ -156,12 +150,6 @@ class Tracer:
                     self._finished.append(span)
                 else:
                     self.dropped += 1
-
-    def current(self) -> Span | None:
-        """Innermost open span on the *calling* thread (the fan-out hook:
-        capture it before submitting work to a pool, pass it as ``parent``)."""
-        stack = self._stack()
-        return stack[-1] if stack else None
 
     def _stack(self) -> list[Span]:
         stack = getattr(self._local, "stack", None)

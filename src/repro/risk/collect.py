@@ -7,7 +7,7 @@ profit-sharing classification (exploitation), and §8.1 laundering
 routes (laundering) — and emits a deterministic, sorted
 ``{address: (StageSignal, ...)}`` map.  Same inputs → identical
 signals → byte-identical fused indexes, which is what the
-serial/parallel/process-sharded determinism matrix asserts.
+serial/process-sharded determinism matrix asserts.
 
 The confidence priors below are *per-signal* precision estimates, not
 verdicts; ``docs/risk.md`` documents how the fusion table turns them

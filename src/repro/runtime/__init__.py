@@ -5,34 +5,27 @@ each snowball round classifies every candidate contract's transaction
 history independently of the others.  This package supplies the
 machinery that exploits that shape without changing results:
 
-* :mod:`repro.runtime.executor` — pluggable serial / pooled ``map`` with
-  deterministic result merging;
 * :mod:`repro.runtime.cache` — keyed read-through caches with
   hit/miss/eviction accounting (per-contract analyses, RPC/explorer
   reads, per-transaction classification verdicts);
 * :mod:`repro.runtime.stats` — per-stage wall time and throughput
   counters, mirrored into the :mod:`repro.obs` metrics registry;
 * :mod:`repro.runtime.engine` — the :class:`ExecutionEngine` façade the
-  core pipeline routes all per-contract analysis through.
+  core pipeline routes all per-contract analysis through;
+* :mod:`repro.runtime.sharding` — the process fan-out; classification is
+  pure Python, so threads would only queue on the GIL.
 
-The engine guarantees **parity**: serial, parallel, and cache-disabled
-runs of ``build_dataset`` produce byte-identical dataset JSON (see
-``tests/runtime/test_parity.py``), and observability on/off changes
-nothing either (``tests/obs/test_obs_regression.py``).
+The engine guarantees **parity**: serial, process-sharded, and
+cache-disabled runs of ``build_dataset`` produce byte-identical dataset
+JSON (see ``tests/runtime/test_parity.py``), and observability on/off
+changes nothing either (``tests/obs/test_obs_regression.py``).
 
 Re-exports (one-liners; full reference in each module and
 ``docs/runtime.md``):
 
-* :class:`ExecutionEngine` — executor + caches + observability for one
-  pipeline run; every construction stage reports through it.
-* :class:`Executor` — abstract ``map_unordered`` / ``map_merged`` over
-  item batches.
-* :class:`SerialExecutor` — in-order execution on the calling thread
-  (the default, and the parity reference).
-* :class:`ParallelExecutor` — chunked fan-out over a thread (or
-  process) pool with a deterministic input-order merge.
-* :func:`make_executor` — ``workers``/``chunk_size`` to the right
-  executor (``workers <= 1`` selects serial).
+* :class:`ExecutionEngine` — caches + observability (+ an optional
+  sharding runtime) for one pipeline run; every construction stage
+  reports through it.
 * :class:`ReadThroughCache` — thread-safe keyed ``get_or_compute`` with
   optional LRU bounding and explicit invalidation.
 * :class:`NullCache` — same interface, caching off; keeps the uncached
@@ -92,12 +85,6 @@ from repro.runtime.checkpoint import (
     ResumeInfo,
 )
 from repro.runtime.engine import ExecutionEngine
-from repro.runtime.executor import (
-    Executor,
-    ParallelExecutor,
-    SerialExecutor,
-    make_executor,
-)
 from repro.runtime.resilience import (
     CircuitBreaker,
     CircuitOpenError,
@@ -132,14 +119,12 @@ __all__ = [
     "CircuitBreaker",
     "CircuitOpenError",
     "ExecutionEngine",
-    "Executor",
     "FaultInjector",
     "FaultPlan",
     "FaultRule",
     "FaultyFacade",
     "ManualClock",
     "NullCache",
-    "ParallelExecutor",
     "RPCReadCache",
     "ReadThroughCache",
     "ResilientFacade",
@@ -147,7 +132,6 @@ __all__ = [
     "RetriesExhaustedError",
     "RetryPolicy",
     "RuntimeStats",
-    "SerialExecutor",
     "ShardCheckpointStore",
     "ShardMerger",
     "ShardPlanner",
@@ -160,5 +144,4 @@ __all__ = [
     "atomic_write_bytes",
     "atomic_write_text",
     "default_start_method",
-    "make_executor",
 ]

@@ -14,8 +14,8 @@ Three layers:
   backfill, where an address's history grows after it was first read.
 
 Caches return the *stored* object on a hit, so memoization-identity
-checks (``first is second``) hold, and a compute raced by two worker
-threads converges on one canonical object.
+checks (``first is second``) hold, and a compute raced by two threads
+converges on one canonical object.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ class ReadThroughCache:
                 return value
             self.stats.misses += 1
         # Compute outside the lock: computes may themselves read through
-        # other caches, and parallel workers must not serialize on it.
+        # other caches, and concurrent callers must not serialize on it.
         value = compute()
         with self._lock:
             stored = self._entries.get(key, _MISSING)

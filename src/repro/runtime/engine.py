@@ -1,18 +1,20 @@
-"""The execution engine: executor + caches + observability behind one handle.
+"""The execution engine: caches + observability behind one handle.
 
 The core pipeline (seed, snowball, monitor) routes every per-contract
 analysis through an :class:`ExecutionEngine`.  The engine memoizes
 :class:`~repro.core.pipeline.ContractAnalysis` results so that a
 snowball round never re-classifies a contract analyzed in an earlier
-round (or by the seed stage), fans batches out over the configured
-executor, and reports through one :class:`~repro.obs.Observability`
-handle: trace spans around stages/batches/classifications, a metrics
-registry absorbing the runtime counters and cache hit/miss statistics,
-and structured log events.
+round (or by the seed stage), runs batches in order on the calling
+thread or fans them out over an attached
+:class:`~repro.runtime.sharding.ShardingRuntime`, and reports through
+one :class:`~repro.obs.Observability` handle: trace spans around
+stages/batches/classifications, a metrics registry absorbing the
+runtime counters and cache hit/miss statistics, and structured log
+events.
 
-Determinism: the engine only parallelizes *pure* per-item work (contract
-classification, per-account history evaluation) and merges results in
-input order, so any executor/cache/observability configuration produces
+Determinism: batches are pure per-item work (contract classification,
+per-account history evaluation) whose results are merged in input
+order, so any sharding/cache/observability configuration produces
 byte-identical datasets (``tests/runtime/test_parity.py``,
 ``tests/obs/test_obs_regression.py``).
 """
@@ -26,7 +28,6 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 from repro.obs import CACHE_RATIO_BUCKETS, LATENCY_BUCKETS, Observability
 from repro.runtime.cache import CacheStats, NullCache, ReadThroughCache, RPCReadCache
 from repro.runtime.checkpoint import CheckpointManager
-from repro.runtime.executor import Executor, SerialExecutor
 from repro.runtime.resilience import (
     EXPLORER_READ_METHODS,
     RPC_READ_METHODS,
@@ -47,14 +48,11 @@ __all__ = ["ExecutionEngine"]
 
 
 class ExecutionEngine:
-    """Executor, caches, and instrumentation for one pipeline run."""
+    """Caches and instrumentation for one pipeline run."""
 
     def __init__(
         self,
-        executor: Executor | None = None,
         cache_enabled: bool = True,
-        analysis_cache_size: int | None = None,
-        stats: RuntimeStats | None = None,
         obs: Observability | None = None,
         retry_policy: RetryPolicy | None = None,
         breaker_threshold: int = 5,
@@ -65,11 +63,10 @@ class ExecutionEngine:
         resilience_clock: Callable[[], float] = time.monotonic,
         sharding: "ShardingRuntime | None" = None,
     ) -> None:
-        self.executor = executor if executor is not None else SerialExecutor()
         self.sharding = sharding
         self.cache_enabled = cache_enabled
         self.obs = obs if obs is not None else Observability()
-        self.stats = stats if stats is not None else RuntimeStats(metrics=self.obs.metrics)
+        self.stats = RuntimeStats(metrics=self.obs.metrics)
         self.retry_policy = retry_policy
         self.breaker_threshold = breaker_threshold
         self.breaker_reset_s = breaker_reset_s
@@ -81,10 +78,9 @@ class ExecutionEngine:
         self._resilience_clock = resilience_clock
         if cache_enabled:
             self._cache_factory: Callable[[str], Any] = ReadThroughCache
-            self.analysis_cache = ReadThroughCache("analyses", max_size=analysis_cache_size)
         else:
             self._cache_factory = NullCache
-            self.analysis_cache = NullCache("analyses")
+        self.analysis_cache = self._cache_factory("analyses")
         self.match_cache = self._cache_factory("tx_matches")
         self.reads: RPCReadCache | None = None
         self._instrumented: list[Any] = []
@@ -179,8 +175,9 @@ class ExecutionEngine:
     def analyze_many(
         self, analyzer: "ContractAnalyzer", contracts: Iterable[str]
     ) -> dict[str, "ContractAnalysis"]:
-        """Classify a batch of contracts, fanning cache misses out over the
-        executor; results keyed by contract, computed exactly once each."""
+        """Classify a batch of contracts: cache misses run in order here,
+        or fan out over the sharding runtime when one is active; results
+        keyed by contract, computed exactly once each."""
         ordered = list(dict.fromkeys(contracts))
         results: dict[str, ContractAnalysis] = {}
         missing: list[str] = []
@@ -192,32 +189,26 @@ class ExecutionEngine:
         if missing:
             with self.obs.span(
                 "engine.analyze_many", requested=len(ordered), misses=len(missing)
-            ) as batch_span:
+            ):
                 if self.sharding is not None and self.sharding.active:
                     # Process-sharded fan-out: classification runs in shard
                     # worker processes against per-shard caches; results are
                     # merged in input order (repro.runtime.sharding).
                     computed = self.sharding.classify(analyzer, missing)
                 else:
-                    # Worker threads have no span stack of their own, so the
-                    # batch span is passed down explicitly as the parent.
-                    parent = batch_span if batch_span.span_id else None
-                    computed = self.executor.map_merged(
-                        lambda contract: self._compute(analyzer, contract, parent=parent),
-                        missing,
-                    )
+                    computed = [
+                        self._compute(analyzer, contract) for contract in missing
+                    ]
             for contract, analysis in zip(missing, computed):
                 results[contract] = self.analysis_cache.get_or_compute(
                     contract, lambda value=analysis: value
                 )
         return {contract: results[contract] for contract in ordered}
 
-    def _compute(
-        self, analyzer: "ContractAnalyzer", contract: str, parent=None
-    ) -> "ContractAnalysis":
+    def _compute(self, analyzer: "ContractAnalyzer", contract: str) -> "ContractAnalysis":
         self.stats.bump("contract_classifications")
         self.obs.heartbeat()
-        with self.obs.span("analyze.contract", parent=parent, contract=contract):
+        with self.obs.span("analyze.contract", contract=contract):
             started = time.perf_counter()
             analysis = analyzer.compute_analysis(contract)
             self._classify_latency.observe(time.perf_counter() - started)
@@ -226,7 +217,7 @@ class ExecutionEngine:
 
     def close(self) -> None:
         """Release process-backed resources (the shard worker pool).
-        Idempotent; a no-op for thread/serial configurations."""
+        Idempotent; a no-op without sharding."""
         if self.sharding is not None:
             self.sharding.release()
 
@@ -240,13 +231,13 @@ class ExecutionEngine:
             dropped = self.reads.invalidate_address(contract) or dropped
         return dropped
 
-    # -- generic fan-out ----------------------------------------------------
+    # -- generic batch -------------------------------------------------------
 
     def map(self, fn: Callable[[Any], Any], items: Iterable[Any]) -> list[Any]:
-        """Deterministically-merged map over arbitrary pure work."""
+        """In-order map over arbitrary pure work, traced as one batch."""
         items = list(items)
         with self.obs.span("engine.map", items=len(items)):
-            return self.executor.map_merged(fn, items)
+            return [fn(item) for item in items]
 
     # -- reporting ----------------------------------------------------------
 
@@ -263,7 +254,7 @@ class ExecutionEngine:
         return hits / requests if requests else 0.0
 
     def publish_metrics(self) -> None:
-        """Push point-in-time values (cache counters and ratios, worker
+        """Push point-in-time values (cache counters and ratios, cache
         config) into the registry as gauges.  Called once before a metrics
         export; the per-cache hit ratios additionally feed the fixed-bucket
         ``daas_cache_hit_ratio_bucketed`` histogram.  Also flushes the
@@ -271,9 +262,6 @@ class ExecutionEngine:
         for facade in self._instrumented:
             facade.publish_reads()
         metrics = self.obs.metrics
-        metrics.gauge(
-            "daas_engine_workers", help_text="Configured analysis worker threads."
-        ).set(self.executor.workers)
         metrics.gauge(
             "daas_engine_cache_enabled", help_text="1 when read caches are on."
         ).set(1.0 if self.cache_enabled else 0.0)
@@ -302,7 +290,6 @@ class ExecutionEngine:
 
     def snapshot(self) -> dict:
         out = {
-            "workers": self.executor.workers,
             "cache_enabled": self.cache_enabled,
             "cache_hit_rate": round(self.cache_hit_rate(), 4),
             "caches": {s.name: s.snapshot() for s in self.cache_stats()},
@@ -328,10 +315,7 @@ class ExecutionEngine:
 
     def render_stats(self) -> str:
         """Human-readable block for the CLI's ``--stats`` flag."""
-        lines = [
-            f"runtime stats (workers={self.executor.workers}, "
-            f"cache={'on' if self.cache_enabled else 'off'})"
-        ]
+        lines = [f"runtime stats (cache={'on' if self.cache_enabled else 'off'})"]
         if self.sharding is not None:
             s = self.sharding
             lines.append(

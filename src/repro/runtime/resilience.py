@@ -24,7 +24,7 @@ code:
   given plan injects *exactly* the same faults on every run (the
   probabilistic decision for a call is a pure function of
   ``(plan seed, upstream, method, key, per-key attempt index)``, so it
-  is stable even under a parallel executor).
+  is stable under concurrent callers too).
 
 The cardinal rule extends to this layer: with faults injected and
 retries enabled, the final dataset JSON is byte-identical to a clean
@@ -217,8 +217,8 @@ class CircuitBreaker:
     ``failure_threshold`` *consecutive* failures open the circuit; while
     open, :meth:`before_call` fails fast with :class:`CircuitOpenError`.
     Runs of failures are counted per calling thread: a retry chain runs
-    on one thread, and under a parallel executor the interleaved
-    transient failures of concurrent chains are not one run.
+    on one thread, and the interleaved transient failures of chains on
+    concurrent threads are not one run.
     After ``reset_timeout_s`` (measured on the injectable monotonic
     ``clock``) the next call is admitted as a half-open trial: success
     closes the circuit, failure re-opens it for another timeout.
@@ -603,7 +603,7 @@ class FaultInjector:
     one lock.  The per-key counters are also per calling thread: a
     retry chain runs on one thread, and two threads fetching the same
     key must not reset each other's run of failures, or the
-    ``max_consecutive`` guarantee breaks under a parallel executor.
+    ``max_consecutive`` guarantee breaks for concurrent callers.
     Injections are tallied in ``daas_faults_injected_total``.
     """
 

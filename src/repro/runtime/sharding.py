@@ -1,9 +1,8 @@
 """Process-sharded dataset construction (the post-GIL execution path).
 
-Thread parallelism plateaus on this pipeline: classification is pure
-Python, so beyond two threads the GIL serializes the work
-(``benchmarks/out/perf_parallel.json``).  This module supplies the
-process-based alternative:
+Classification is pure Python, so the GIL serializes any thread pool
+over it (measurements in ``docs/runtime.md``).  This module fans
+construction out over processes instead:
 
 * :class:`ShardPlanner` — deterministically partitions the address /
   contract space into N shards with a stable content hash (CRC-32 of

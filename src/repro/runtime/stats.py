@@ -8,7 +8,7 @@ One :class:`RuntimeStats` instance rides along with an
   cache invalidations),
 
 from which throughput (transactions classified per second) is derived.
-Counter updates may come from worker threads, so they are guarded by a
+Counter updates may come from several threads, so they are guarded by a
 lock; the cost is negligible next to the classification work itself.
 
 Since PR 2 the stats object is a *view* into the observability layer:

@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.analysis.graph import FlowGraphBuilder
 
 
@@ -14,20 +20,25 @@ def flow(pipeline):
     return builder, graph
 
 
+def _weights(graph):
+    for recipients in graph.edges.values():
+        yield from recipients.values()
+
+
 class TestConstruction:
     def test_graph_nonempty(self, flow):
         _, graph = flow
-        assert graph.number_of_nodes() > 0
-        assert graph.number_of_edges() > 0
+        assert len(graph.roles) > 0
+        assert graph.edge_count > 0
 
     def test_every_daas_account_present(self, flow, pipeline):
         _, graph = flow
         for account in pipeline.dataset.all_accounts:
-            assert graph.has_node(account)
+            assert account in graph.roles
 
     def test_edge_weights_positive(self, flow):
         _, graph = flow
-        for _, _, data in graph.edges(data=True):
+        for data in _weights(graph):
             assert data["weight_wei"] >= 0
             assert data["token_transfers"] >= 0
             assert data["weight_wei"] > 0 or data["token_transfers"] > 0
@@ -36,27 +47,43 @@ class TestConstruction:
         _, graph = flow
         record = pipeline.dataset.transactions[0]
         if record.token == "ETH":
-            assert graph.has_edge(record.contract, record.operator)
-            assert graph.has_edge(record.contract, record.affiliate)
+            assert record.operator in graph.edges[record.contract]
+            assert record.affiliate in graph.edges[record.contract]
+
+    def test_edge_endpoints_are_nodes(self, flow):
+        _, graph = flow
+        for source, recipients in graph.edges.items():
+            assert source in graph.roles
+            assert set(recipients) <= set(graph.roles)
+
+    def test_import_loads_no_networkx(self):
+        """The flow graph is plain dicts: importing it in a fresh
+        interpreter pulls in no graph library."""
+        probe = (
+            "import sys, repro.analysis.graph; "
+            "sys.exit('networkx' in sys.modules)"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+        assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
 
 
 class TestRoles:
     def test_role_annotation_matches_dataset(self, flow, pipeline):
         _, graph = flow
         for contract in pipeline.dataset.contracts:
-            assert graph.nodes[contract]["role"] == "contract"
+            assert graph.roles[contract] == "contract"
         for operator in pipeline.dataset.operators:
-            assert graph.nodes[operator]["role"] == "operator"
+            assert graph.roles[operator] == "operator"
 
     def test_sinks_annotated(self, flow, world):
         _, graph = flow
-        if graph.has_node(world.infra.mixer):
-            assert graph.nodes[world.infra.mixer]["role"] == "sink"
+        if world.infra.mixer in graph.roles:
+            assert graph.roles[world.infra.mixer] == "sink"
 
     def test_victims_annotated(self, flow, world):
         _, graph = flow
         annotated_victims = {
-            node for node, data in graph.nodes(data=True) if data["role"] == "victim"
+            node for node, role in graph.roles.items() if role == "victim"
         }
         # Every annotated victim must be a true victim; coverage is partial
         # because ERC-20 victims move tokens (not ETH) into contracts.
@@ -66,15 +93,16 @@ class TestRoles:
     def test_role_counts_partition_nodes(self, flow):
         builder, graph = flow
         counts = builder.role_counts(graph)
-        assert sum(counts.values()) == graph.number_of_nodes()
+        assert sum(counts.values()) == len(graph.roles)
+        assert set(counts) <= set(FlowGraphBuilder.ROLES)
 
 
 class TestSummary:
     def test_summary_consistent(self, flow):
         builder, graph = flow
         summary = builder.summarize(graph)
-        assert summary.nodes == graph.number_of_nodes()
-        assert summary.edges == graph.number_of_edges()
+        assert summary.nodes == len(graph.roles)
+        assert summary.edges == graph.edge_count
         assert 1 <= summary.components <= summary.nodes
         assert summary.largest_component <= summary.nodes
         assert summary.total_eth_volume_wei > 0

@@ -1,7 +1,7 @@
 """The cardinal observability rule: tracing never perturbs results.
 
 Byte-identical datasets with observability enabled, disabled, file-
-exported, or fanned out over a thread pool; plus the CLI acceptance
+exported, or fanned out over inline shards; plus the CLI acceptance
 path: ``build-dataset --trace-out --metrics-out`` produces a parseable
 nested trace and a Prometheus file while leaving the dataset unchanged.
 """
@@ -13,16 +13,17 @@ import json
 from repro.api import build_dataset
 from repro.cli import main
 from repro.obs import Observability, load_trace
-from repro.runtime import ExecutionEngine, ParallelExecutor, SerialExecutor
+from repro.runtime import ExecutionEngine, ShardingRuntime
 
 
 def test_pipeline_identical_with_obs_on_off(world):
     on = Observability(run_id="on")
     configs = {
-        "obs-on": ExecutionEngine(SerialExecutor(), obs=on),
-        "obs-off": ExecutionEngine(SerialExecutor(), obs=Observability.disabled()),
-        "obs-on-parallel": ExecutionEngine(
-            ParallelExecutor(workers=3), obs=Observability(run_id="p")
+        "obs-on": ExecutionEngine(obs=on),
+        "obs-off": ExecutionEngine(obs=Observability.disabled()),
+        "obs-on-sharded": ExecutionEngine(
+            obs=Observability(run_id="p"),
+            sharding=ShardingRuntime(shards=3, processes=1),
         ),
     }
     outputs = {}
@@ -98,7 +99,7 @@ def test_cli_acceptance_flags(tmp_path, capsys):
     assert main(common + ["--out", str(plain)]) == 0
     assert main(
         common + [
-            "--workers", "4", "--out", str(flagged),
+            "--out", str(flagged),
             "--trace-out", str(trace), "--metrics-out", str(metrics),
         ]
     ) == 0

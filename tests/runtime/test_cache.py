@@ -205,7 +205,6 @@ class TestNoReclassification:
         SnowballExpander(analyzer).expand(dataset)
 
         snap = engine.snapshot()
-        assert snap["workers"] == 1
         assert snap["cache_enabled"] is True
         assert 0.0 < snap["cache_hit_rate"] <= 1.0
         assert snap["counters"]["contract_classifications"] > 0
@@ -213,7 +212,7 @@ class TestNoReclassification:
         assert "analyses" in snap["caches"]
 
         rendered = engine.render_stats()
-        assert "runtime stats (workers=1, cache=on)" in rendered
+        assert "runtime stats (cache=on)" in rendered
         assert "stage seed" in rendered
         assert "stage snowball" in rendered
         assert "overall cache hit rate" in rendered

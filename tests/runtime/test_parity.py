@@ -1,9 +1,8 @@
-"""Serial/parallel/cached parity: the core correctness guarantee.
+"""Serial/sharded/cached parity: the core correctness guarantee.
 
 ``build_dataset`` must produce byte-identical dataset JSON (and identical
 seed reports and per-iteration snowball statistics) for every engine
-configuration: serial, parallel with any worker count / chunking, cache
-enabled or disabled.
+configuration: serial or sharded, cache enabled or disabled.
 """
 
 from __future__ import annotations
@@ -14,23 +13,19 @@ import pytest
 
 from repro.api import build_dataset
 from repro.cli import main
-from repro.runtime import (
-    ExecutionEngine,
-    ParallelExecutor,
-    SerialExecutor,
-    make_executor,
-)
+from repro.runtime import ExecutionEngine, ShardingRuntime
 from repro.simulation import SimulationParams, build_world
 
 
 def _engine_matrix() -> dict[str, ExecutionEngine]:
     return {
-        "serial-cached": ExecutionEngine(SerialExecutor()),
-        "serial-nocache": ExecutionEngine(SerialExecutor(), cache_enabled=False),
-        "parallel-2": ExecutionEngine(ParallelExecutor(workers=2)),
-        "parallel-3-chunked": ExecutionEngine(ParallelExecutor(workers=3, chunk_size=4)),
-        "parallel-2-nocache": ExecutionEngine(
-            ParallelExecutor(workers=2), cache_enabled=False
+        "serial-cached": ExecutionEngine(),
+        "serial-nocache": ExecutionEngine(cache_enabled=False),
+        "sharded-3-inline": ExecutionEngine(
+            sharding=ShardingRuntime(shards=3, processes=1)
+        ),
+        "sharded-2-inline-nocache": ExecutionEngine(
+            cache_enabled=False, sharding=ShardingRuntime(shards=2, processes=1)
         ),
     }
 
@@ -67,7 +62,7 @@ def _assert_all_equal(fingerprints: dict[str, tuple]) -> None:
 
 class TestDatasetParity:
     def test_parity_on_shared_world(self, world):
-        """All five configurations agree byte-for-byte at scale 0.02."""
+        """All four configurations agree byte-for-byte at scale 0.02."""
         _assert_all_equal(_fingerprint(world))
 
     def test_parity_on_tiny_world_different_seed(self):
@@ -77,86 +72,26 @@ class TestDatasetParity:
     @pytest.mark.slow
     def test_parity_on_larger_world(self):
         world = build_world(SimulationParams(scale=0.04, seed=9))
-        serial = build_dataset(world, engine=ExecutionEngine(SerialExecutor())).dataset
-        parallel = build_dataset(
-            world, engine=ExecutionEngine(ParallelExecutor(workers=4, chunk_size=2))
+        serial = build_dataset(world, engine=ExecutionEngine()).dataset
+        sharded = build_dataset(
+            world, engine=ExecutionEngine(sharding=ShardingRuntime(shards=4, processes=2))
         ).dataset
-        assert parallel.to_json() == serial.to_json()
-
-
-def _square(x: int) -> int:
-    # Module-level so the process backend can pickle it.
-    return x * x
-
-
-class TestExecutors:
-    def test_serial_map_merged_preserves_order(self):
-        assert SerialExecutor().map_merged(_square, [3, 1, 2]) == [9, 1, 4]
-
-    def test_parallel_map_merged_is_input_ordered(self):
-        import time
-
-        items = list(range(24))
-
-        def jittered(x: int) -> int:
-            # Later items finish first, forcing out-of-order completion.
-            time.sleep((len(items) - x) * 0.001)
-            return x * x
-
-        merged = ParallelExecutor(workers=8).map_merged(jittered, items)
-        assert merged == [x * x for x in items]
-
-    def test_parallel_chunked(self):
-        result = ParallelExecutor(workers=3, chunk_size=5).map_merged(
-            _square, range(17)
-        )
-        assert result == [x * x for x in range(17)]
-
-    def test_parallel_empty_batch(self):
-        assert ParallelExecutor(workers=2).map_merged(_square, []) == []
-
-    def test_process_backend(self):
-        result = ParallelExecutor(workers=2, backend="process").map_merged(
-            _square, range(8)
-        )
-        assert result == [x * x for x in range(8)]
-
-    def test_worker_exception_propagates(self):
-        def boom(x):
-            raise RuntimeError("worker failed")
-
-        with pytest.raises(RuntimeError, match="worker failed"):
-            ParallelExecutor(workers=2).map_merged(boom, [1, 2])
-
-    def test_make_executor_selection(self):
-        assert isinstance(make_executor(1), SerialExecutor)
-        assert isinstance(make_executor(None), SerialExecutor)
-        parallel = make_executor(4, chunk_size=2)
-        assert isinstance(parallel, ParallelExecutor)
-        assert parallel.workers == 4
-        assert parallel.chunk_size == 2
-
-    def test_invalid_configuration_rejected(self):
-        with pytest.raises(ValueError):
-            ParallelExecutor(workers=0)
-        with pytest.raises(ValueError):
-            ParallelExecutor(chunk_size=0)
-        with pytest.raises(ValueError):
-            ParallelExecutor(backend="gpu")
+        assert sharded.to_json() == serial.to_json()
 
 
 class TestCliSmoke:
     def test_build_dataset_parallel_end_to_end(self, tmp_path, capsys):
-        """`build-dataset --workers 2 --stats` runs the parallel path in
-        every test tier and matches a serial in-process build."""
+        """`build-dataset --shards 2 --processes 2 --stats` runs the process
+        fan-out in every test tier and matches a serial in-process build."""
         out = tmp_path / "dataset.json"
         rc = main([
             "build-dataset", "--scale", "0.01", "--seed", "7",
-            "--workers", "2", "--stats", "--out", str(out),
+            "--shards", "2", "--processes", "2", "--stats", "--out", str(out),
         ])
         assert rc == 0
         printed = capsys.readouterr().out
-        assert "runtime stats (workers=2, cache=on)" in printed
+        assert "runtime stats (cache=on)" in printed
+        assert "sharding shards=2 processes=2" in printed
         assert f"dataset written to {out}" in printed
 
         payload = json.loads(out.read_text())
@@ -165,3 +100,23 @@ class TestCliSmoke:
         world = build_world(SimulationParams(scale=0.01, seed=7))
         serial = build_dataset(world).dataset
         assert out.read_text() == serial.to_json()
+
+
+class TestRuntimeFlags:
+    @pytest.mark.parametrize("flags", [
+        ["--shards", "-2"],
+        ["--processes", "-1"],
+        ["--shards", "2", "--processes", "0"],
+    ])
+    def test_out_of_range_flag_exits_2_naming_it(self, flags, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["build-dataset", "--scale", "0.005", *flags])
+        assert exit_info.value.code == 2
+        error = capsys.readouterr().err.strip().splitlines()[-1]
+        assert f"argument {flags[-2]}: must be >=" in error
+
+    @pytest.mark.parametrize("flag", ["--workers", "--chunk-size"])
+    def test_thread_pool_flags_are_gone(self, flag):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["build-dataset", "--scale", "0.005", flag, "2"])
+        assert exit_info.value.code == 2

@@ -448,16 +448,6 @@ class TestFaultedBuildParity:
         assert first == second
         assert first[2] > 0
 
-    def test_parallel_faulted_run_matches_clean_serial(self, small_world):
-        from repro.runtime import ParallelExecutor
-
-        clean = build_dataset(small_world, engine=ExecutionEngine()).dataset
-        engine = resilient_engine(
-            drop_plan(rate=0.12), executor=ParallelExecutor(workers=3),
-        )
-        faulted = build_dataset(small_world, engine=engine).dataset
-        assert faulted.to_json() == clean.to_json()
-
     def test_permanent_outage_exhausts_retries(self, small_world):
         engine = resilient_engine(FaultPlan(rules=(
             FaultRule(upstream="explorer", kind="outage"),

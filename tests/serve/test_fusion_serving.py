@@ -88,7 +88,7 @@ class TestFusedIndexDeterminism:
         the pipeline that produced it was executed."""
         serial = pipeline.build_intel_index()
         parallel = run_pipeline(
-            PipelineConfig(world=world, workers=2, chunk_size=8)
+            PipelineConfig(world=world, shards=2, processes=2)
         ).build_intel_index()
         sharded = run_pipeline(
             PipelineConfig(world=world, shards=2, processes=1)

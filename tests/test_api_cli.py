@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro.api
 from repro.api import PipelineConfig, build_dataset, run_pipeline
 from repro.cli import main
 from repro.simulation import SimulationParams, build_world
@@ -62,6 +68,19 @@ class TestCLI:
         assert "Table 2" in printed
         assert "Angel Drainer" in printed
 
+    def test_cluster_order_ignores_hash_seed(self):
+        """Table 2 breaks victim-count ties by name, so string hashing
+        (which orders ``dataset.operators``) cannot move a row."""
+        def cluster_stdout(hash_seed: str) -> str:
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+                   "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+            return subprocess.run(
+                [sys.executable, "-m", "repro.cli", "cluster", *self.SCALE],
+                env=env, capture_output=True, text=True, check=True,
+            ).stdout
+
+        assert cluster_stdout("1") == cluster_stdout("2")
+
     def test_webdetect(self, capsys):
         assert main(["webdetect", *self.SCALE]) == 0
         printed = capsys.readouterr().out
@@ -100,8 +119,30 @@ class TestCLIExtensions:
         assert "streaming mode" in printed
         assert "Table 4" in printed
 
-    def test_report_with_markdown(self, capsys, tmp_path):
+    def test_report_with_markdown(self, capsys, tmp_path, monkeypatch):
+        """One report builds the world and runs the §8 detector once, for
+        the printed sections and the markdown file alike."""
+        from repro.webdetect import PhishingSiteDetector
+
+        calls = {"worlds": 0, "detector": 0}
+
+        def counting_build_world(params):
+            calls["worlds"] += 1
+            return build_world(params)
+
+        original_run = PhishingSiteDetector.run
+
+        def counting_run(detector):
+            calls["detector"] += 1
+            return original_run(detector)
+
+        monkeypatch.setattr(repro.api, "build_world", counting_build_world)
+        monkeypatch.setattr(PhishingSiteDetector, "run", counting_run)
         md = tmp_path / "report.md"
         assert main(["report", *self.SCALE, "--md", str(md)]) == 0
         assert md.exists()
         assert "# DaaS Measurement Report" in md.read_text()
+        printed = capsys.readouterr().out
+        for section in ("Table 1", "victim accounts", "Table 2", "Table 4"):
+            assert section in printed
+        assert calls == {"worlds": 1, "detector": 1}
